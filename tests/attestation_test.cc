@@ -115,5 +115,71 @@ TEST(Attestation, TamperedCounterInitIsDetectedNotExploitable) {
   EXPECT_FALSE(s->read(0x40).ok());
 }
 
+// ---- Golden keys. Pins the exact (Kt, c0) that a fixed-seed
+// SecureMemorySession derives on each group, so any change to the
+// modular arithmetic under attestation — or to how much randomness it
+// draws — shows up here rather than as a drifted fuzz-campaign hash.
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;  // FNV-1a prime
+  }
+  return h;
+}
+
+struct GoldenCase {
+  const char* name;
+  const crypto::DhGroup* group;
+  std::uint64_t digest;
+};
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
+class AttestationGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(AttestationGolden, SessionKeysArePinned) {
+  const crypto::DhGroup& g = *GetParam().group;
+  constexpr std::uint64_t kSeed = 0x5EC0DD12;
+  // The same provisioning and attestation SecureMemorySession::create
+  // runs for kSeed (its per-component seed split), with Kt in reach.
+  crypto::CertificateAuthority ca(g, kSeed ^ 0xCA);
+  Dimm dimm(tiny_dimm(), "dimm:serial-0001", g, kSeed ^ 0xD1);
+  dimm.provision(ca);
+  AttestationDriver driver(g, ca, kSeed ^ 0xA7);
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  std::vector<std::uint64_t> c0s;
+  for (unsigned r = 0; r < tiny_dimm().geometry.ranks; ++r) {
+    const AttestationResult res = driver.attest_rank(dimm, r);
+    ASSERT_TRUE(res.ok) << res.failure;
+    h = fnv1a(h, res.kt.data(), res.kt.size());
+    h = fnv1a(h, &res.c0, sizeof res.c0);
+    c0s.push_back(res.c0);
+  }
+  EXPECT_EQ(h, GetParam().digest);
+
+  // The session itself lands on the same counters, so the mirror above
+  // is the session's attestation.
+  SessionConfig cfg;
+  cfg.dimm = tiny_dimm();
+  cfg.group = &g;
+  cfg.seed = kSeed;
+  auto session = SecureMemorySession::create(cfg);
+  ASSERT_NE(session, nullptr);
+  for (unsigned r = 0; r < c0s.size(); ++r) {
+    EXPECT_EQ(session->controller().transaction_counter(r), c0s[r]);
+    EXPECT_EQ(session->dimm().transaction_counter(r), c0s[r]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Groups, AttestationGolden,
+    ::testing::Values(
+        GoldenCase{"Modp1536", &crypto::DhGroup::modp1536(),
+                   1519874863576379904ull},
+        GoldenCase{"Modp2048", &crypto::DhGroup::modp2048(),
+                   3668597622760283840ull}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 }  // namespace
 }  // namespace secddr::core

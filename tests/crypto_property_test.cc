@@ -212,6 +212,88 @@ TEST(BigUIntProperties, ModExpHomomorphism) {
   }
 }
 
+// Reference exponentiation: right-to-left square-and-multiply built only
+// from mod_mul, i.e. schoolbook multiply + Knuth-D remainder.
+BigUInt reference_mod_exp(const BigUInt& base, const BigUInt& exp,
+                          const BigUInt& m) {
+  BigUInt result = BigUInt(1) % m;
+  BigUInt b = base % m;
+  for (std::size_t i = 0; i < exp.bit_length(); ++i) {
+    if (exp.bit(i)) result = BigUInt::mod_mul(result, b, m);
+    b = BigUInt::mod_mul(b, b, m);
+  }
+  return result;
+}
+
+// Uniform value of exactly `bits` bits (top bit set); 0 for bits == 0.
+BigUInt random_bits(Xoshiro256& rng, std::size_t bits) {
+  if (bits == 0) return BigUInt();
+  std::vector<std::uint8_t> bytes((bits + 7) / 8);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  const unsigned top = static_cast<unsigned>((bits - 1) % 8);
+  bytes[0] &= static_cast<std::uint8_t>((2u << top) - 1);
+  bytes[0] |= static_cast<std::uint8_t>(1u << top);
+  return BigUInt::from_bytes_be(bytes);
+}
+
+BigUInt make_odd(const BigUInt& v) { return v.is_odd() ? v : v + BigUInt(1); }
+
+// Odd moduli of every 32-bit limb count up to 65: odd counts leave the
+// top 64-bit Montgomery limb half empty.
+TEST(BigUIntProperties, ModExpMatchesReferenceAcrossLimbCounts) {
+  Xoshiro256 rng(53);
+  for (std::size_t limbs = 1; limbs <= 65; ++limbs) {
+    const BigUInt m = make_odd(random_bits(rng, 32 * limbs));
+    ASSERT_TRUE(m.is_odd());
+    for (int trial = 0; trial < 3; ++trial) {
+      // Bases up to one limb wider than m (often >= m), exponents short
+      // enough to keep the reference cheap.
+      const BigUInt base = random_bits(rng, rng.next_below(32 * limbs + 33));
+      const BigUInt exp = random_bits(rng, rng.next_below(200));
+      EXPECT_EQ(BigUInt::mod_exp(base, exp, m), reference_mod_exp(base, exp, m))
+          << "limbs " << limbs << " trial " << trial;
+    }
+  }
+}
+
+TEST(BigUIntProperties, ModExpEdgeModuliBasesAndExponents) {
+  Xoshiro256 rng(59);
+  std::vector<BigUInt> moduli = {BigUInt(1), BigUInt(3), BigUInt(5),
+                                 BigUInt(0xffffffff), BigUInt(1000)};
+  // Top 32-bit limb of 1, for odd and even limb counts.
+  for (unsigned limbs : {2u, 3u, 4u, 5u, 17u, 48u, 49u})
+    moduli.push_back(make_odd((BigUInt(1) << (32 * (limbs - 1))) +
+                              random_bits(rng, 32 * (limbs - 1) - 3)));
+  for (const BigUInt& m : moduli) {
+    const BigUInt bases[] = {BigUInt(0), BigUInt(1), BigUInt(2), m,
+                             m + BigUInt(1), m + m + BigUInt(5),
+                             random_bits(rng, m.bit_length() + 40)};
+    const BigUInt exps[] = {BigUInt(0), BigUInt(1), BigUInt(2), BigUInt(31),
+                            BigUInt(32), random_bits(rng, 97),
+                            random_bits(rng, 300)};
+    for (const BigUInt& b : bases) {
+      for (const BigUInt& e : exps) {
+        EXPECT_EQ(BigUInt::mod_exp(b, e, m), reference_mod_exp(b, e, m))
+            << "m=" << m.to_hex() << " b=" << b.to_hex() << " e=" << e.to_hex();
+      }
+    }
+  }
+}
+
+// Full-width operands at the two attestation group sizes.
+TEST(BigUIntProperties, ModExpMatchesReferenceAtGroupSizes) {
+  Xoshiro256 rng(61);
+  for (std::size_t bits : {1536u, 2048u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const BigUInt m = make_odd(random_bits(rng, bits));
+      const BigUInt base = random_bits(rng, bits);
+      const BigUInt exp = random_bits(rng, bits);
+      EXPECT_EQ(BigUInt::mod_exp(base, exp, m), reference_mod_exp(base, exp, m))
+          << bits << "-bit trial " << trial;
+    }
+  }
+}
+
 TEST(BigUIntProperties, CompareIsTotalOrder) {
   const BigUInt a(5), b(500), c = BigUInt::from_hex("ffffffffffffffffff");
   EXPECT_TRUE(a < b && b < c && a < c);

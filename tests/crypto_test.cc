@@ -363,6 +363,33 @@ TEST(BigUInt, ModExpKnownValues) {
       BigUInt(1));
 }
 
+// Known answers on the RFC 3526 safe primes p = 2q + 1. Since p ≡ 7
+// (mod 8), 2 is a quadratic residue, so 2 and 4 lie in the order-q
+// subgroup; p − 1 has order 2; Fermat covers the full exponent width.
+class ModExpRfc3526 : public ::testing::TestWithParam<int> {};
+
+TEST_P(ModExpRfc3526, KnownAnswers) {
+  const DhGroup& g =
+      GetParam() == 1536 ? DhGroup::modp1536() : DhGroup::modp2048();
+  ASSERT_EQ(g.p.bit_length(), static_cast<std::size_t>(GetParam()));
+  ASSERT_EQ(g.p.low_u64() & 7, 7u);
+  const BigUInt one(1);
+  const BigUInt pm1 = g.p - one;
+  EXPECT_EQ(BigUInt::mod_exp(BigUInt(2), g.q, g.p), one);
+  EXPECT_EQ(BigUInt::mod_exp(g.gq, g.q, g.p), one);
+  EXPECT_EQ(BigUInt::mod_exp(pm1, BigUInt(2), g.p), one);
+  EXPECT_EQ(BigUInt::mod_exp(pm1, g.q, g.p), pm1);  // q is odd
+  EXPECT_EQ(BigUInt::mod_exp(g.g, pm1, g.p), one);
+  EXPECT_EQ(BigUInt::mod_exp(g.g, g.q + one, g.p), g.g);
+  EXPECT_EQ(BigUInt::mod_exp(g.g, BigUInt(0), g.p), one);
+  EXPECT_EQ(BigUInt::mod_exp(g.p + BigUInt(3), BigUInt(1), g.p), BigUInt(3));
+}
+
+INSTANTIATE_TEST_SUITE_P(Groups, ModExpRfc3526, ::testing::Values(1536, 2048),
+                         [](const auto& info) {
+                           return "modp" + std::to_string(info.param);
+                         });
+
 TEST(BigUInt, ShiftsAreConsistent) {
   const BigUInt v = BigUInt::from_hex("123456789abcdef0fedcba9876543210");
   EXPECT_EQ((v << 17) >> 17, v);
