@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI: build Debug and Release with -Wall -Wextra -Werror and run the
 # full test suite in each. Set SECDDR_CI_SANITIZE=1 to append an
-# address+undefined sanitizer build (unit label only, for speed).
+# address+undefined sanitizer build (unit, trace, fuzz, power and crypto
+# labels) plus a thread-sanitizer build.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -113,7 +114,9 @@ if [[ "${SECDDR_CI_SANITIZE:-0}" == "1" ]]; then
   # single-byte-flip smoke) and the adversarial fault injector must be
   # clean under ASan/UBSan, not just throw nicely. The fuzz campaigns in
   # that label are already CI-bounded (well under the 10k bench run).
-  CTEST_ARGS=(-L 'unit|trace|fuzz|power')
+  # crypto pulls in the bignum property sweeps, so the Montgomery
+  # kernel's 128-bit carry chains run sanitized too.
+  CTEST_ARGS=(-L 'unit|trace|fuzz|power|crypto')
   run_matrix Debug build-ci-asan -DSECDDR_SANITIZE=address,undefined
   # ThreadSanitizer over the threaded-backend paths (backend-level
   # thread tests plus the threaded determinism tests, with the backend

@@ -109,6 +109,10 @@ const crypto::Certificate& Dimm::certificate(unsigned rank) const {
 Dimm::KxResponse Dimm::key_exchange(unsigned rank,
                                     const crypto::BigUInt& processor_pub) {
   assert(ranks_[rank].provisioned && "DIMM must be provisioned first");
+  // The processor's value crossed the untrusted bus: refuse degenerate or
+  // out-of-range elements before drawing any randomness or installing a
+  // key. The zero response fails the processor's own range check.
+  if (!crypto::dh_check_public(group_, processor_pub)) return KxResponse{};
   RankState& rs = ranks_[rank];
   const crypto::DhKeyPair eph = crypto::dh_generate(group_, rng_);
 

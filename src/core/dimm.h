@@ -71,6 +71,8 @@ class Dimm {
     crypto::SchnorrSignature sig; ///< endorsement signature over transcript
   };
   /// Runs the device side of the signed key exchange and installs Kt.
+  /// An invalid `processor_pub` (outside [2, p - 2]) installs nothing
+  /// and yields a zero `pub`, which the processor rejects.
   KxResponse key_exchange(unsigned rank, const crypto::BigUInt& processor_pub);
 
   /// Installs the initial transaction counter (sent in plaintext; §III-F).

@@ -1,10 +1,18 @@
 #include "crypto/bignum.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 
 namespace secddr::crypto {
 namespace {
+
+// The header's documented aborts: always on, since Release drops assert().
+[[noreturn]] void die(const char* what) {
+  std::fprintf(stderr, "BigUInt: %s\n", what);
+  std::abort();
+}
 
 int hex_digit(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -120,7 +128,7 @@ BigUInt operator+(const BigUInt& a, const BigUInt& b) {
 }
 
 BigUInt operator-(const BigUInt& a, const BigUInt& b) {
-  assert(a >= b && "BigUInt subtraction underflow");
+  if (a < b) die("subtraction underflow");
   BigUInt r;
   r.limbs_.resize(a.limbs_.size());
   std::int64_t borrow = 0;
@@ -198,7 +206,7 @@ BigUInt BigUInt::operator>>(unsigned bits) const {
 
 void BigUInt::divmod(const BigUInt& num, const BigUInt& den, BigUInt& q,
                      BigUInt& r) {
-  assert(!den.is_zero() && "division by zero");
+  if (den.is_zero()) die("division by zero");
   if (compare(num, den) < 0) {
     q = BigUInt();
     r = num;
@@ -303,18 +311,138 @@ BigUInt BigUInt::mod_mul(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
   return (a * b) % m;
 }
 
+namespace {
+
+// Montgomery arithmetic over 64-bit limbs, for odd moduli.
+
+using u128 = unsigned __int128;
+
+// -m^-1 mod 2^64 for odd m0: Newton's iteration doubles the correct low
+// bits each step, from the 3 that x = m0 already gets right.
+std::uint64_t neg_inverse_u64(std::uint64_t m0) {
+  std::uint64_t x = m0;
+  for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
+  return 0 - x;
+}
+
+// out = a * b * R^-1 mod m with R = 2^(64n), for a, b < m (CIOS). `t`
+// is n + 2 limbs of scratch; `out` may alias `a` or `b`.
+void mont_mul(std::uint64_t* out, const std::uint64_t* a,
+              const std::uint64_t* b, const std::uint64_t* m,
+              std::uint64_t m_inv, std::size_t n, std::uint64_t* t) {
+  std::fill(t, t + n + 2, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t carry = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const u128 cur = static_cast<u128>(a[j]) * b[i] + t[j] + carry;
+      t[j] = static_cast<std::uint64_t>(cur);
+      carry = static_cast<std::uint64_t>(cur >> 64);
+    }
+    u128 cur = static_cast<u128>(t[n]) + carry;
+    t[n] = static_cast<std::uint64_t>(cur);
+    t[n + 1] = static_cast<std::uint64_t>(cur >> 64);
+
+    // Add q*m with q chosen so the low limb cancels, then shift one limb.
+    const std::uint64_t q = t[0] * m_inv;
+    cur = static_cast<u128>(q) * m[0] + t[0];
+    carry = static_cast<std::uint64_t>(cur >> 64);
+    for (std::size_t j = 1; j < n; ++j) {
+      cur = static_cast<u128>(q) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<std::uint64_t>(cur);
+      carry = static_cast<std::uint64_t>(cur >> 64);
+    }
+    cur = static_cast<u128>(t[n]) + carry;
+    t[n - 1] = static_cast<std::uint64_t>(cur);
+    t[n] = t[n + 1] + static_cast<std::uint64_t>(cur >> 64);
+  }
+  // t < 2m: one conditional subtraction.
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const u128 d = static_cast<u128>(t[j]) - m[j] - borrow;
+    out[j] = static_cast<std::uint64_t>(d);
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+  }
+  if (borrow && t[n] == 0) std::copy(t, t + n, out);
+}
+
+}  // namespace
+
 BigUInt BigUInt::mod_exp(const BigUInt& base, const BigUInt& exp,
                          const BigUInt& m) {
-  assert(!m.is_zero());
+  if (m.is_zero()) die("mod_exp with zero modulus");
   if (m == BigUInt(1)) return BigUInt();
-  BigUInt result(1);
-  BigUInt b = base % m;
   const std::size_t nbits = exp.bit_length();
-  for (std::size_t i = 0; i < nbits; ++i) {
-    if (exp.bit(i)) result = mod_mul(result, b, m);
-    b = mod_mul(b, b, m);
+  if (!m.is_odd()) {
+    // Montgomery reduction needs an odd modulus: square-and-multiply.
+    BigUInt result(1);
+    BigUInt b = base % m;
+    for (std::size_t i = 0; i < nbits; ++i) {
+      if (exp.bit(i)) result = mod_mul(result, b, m);
+      b = mod_mul(b, b, m);
+    }
+    return result;
   }
-  return result;
+  if (nbits == 0) return BigUInt(1);
+
+  // Montgomery form over n 64-bit limbs, R = 2^(64n); fixed windows of
+  // w exponent bits against a table of base^0 .. base^(2^w - 1). The
+  // 5-bit table's 16 extra products pay off above ~320 exponent bits.
+  const std::size_t n = (m.limbs_.size() + 1) / 2;
+  const unsigned w = nbits > 320 ? 5 : 4;
+  const std::size_t entries = std::size_t{1} << w;
+  std::vector<std::uint64_t> buf((entries + 3) * n + n + 2);
+  std::uint64_t* const mod = buf.data();
+  std::uint64_t* const aux = mod + n;  // R^2 mod m, later the constant 1
+  std::uint64_t* const acc = aux + n;
+  std::uint64_t* const table = acc + n;
+  std::uint64_t* const scratch = table + entries * n;  // n + 2 limbs
+
+  const auto pack = [n](const BigUInt& v, std::uint64_t* out) {
+    std::fill(out, out + n, 0);
+    for (std::size_t i = 0; i < v.limbs_.size(); ++i)
+      out[i / 2] |= static_cast<std::uint64_t>(v.limbs_[i]) << (32 * (i % 2));
+  };
+  pack(m, mod);
+  const std::uint64_t m_inv = neg_inverse_u64(mod[0]);
+  const auto mul = [&](std::uint64_t* out, const std::uint64_t* a,
+                       const std::uint64_t* b) {
+    mont_mul(out, a, b, mod, m_inv, n, scratch);
+  };
+
+  pack((BigUInt(1) << static_cast<unsigned>(128 * n)) % m, aux);
+  pack(base % m, acc);
+  mul(table + n, acc, aux);  // base * R
+  std::fill(acc, acc + n, 0);
+  acc[0] = 1;
+  mul(table, aux, acc);  // R
+  for (std::size_t i = 2; i < entries; ++i)
+    mul(table + i * n, table + (i - 1) * n, table + n);
+
+  const auto window = [&](std::size_t lo) {
+    std::size_t v = 0;
+    for (unsigned k = w; k-- > 0;) v = (v << 1) | exp.bit(lo + k);
+    return v;
+  };
+  std::size_t lo = (nbits - 1) / w * w;  // top window, possibly partial
+  std::copy_n(table + window(lo) * n, n, acc);
+  while (lo > 0) {
+    lo -= w;
+    for (unsigned k = 0; k < w; ++k) mul(acc, acc, acc);
+    if (const std::size_t d = window(lo)) mul(acc, acc, table + d * n);
+  }
+
+  // Leave Montgomery form: acc * 1 * R^-1.
+  std::fill(aux, aux + n, 0);
+  aux[0] = 1;
+  mul(acc, acc, aux);
+  BigUInt r;
+  r.limbs_.resize(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    r.limbs_[2 * i] = static_cast<std::uint32_t>(acc[i]);
+    r.limbs_[2 * i + 1] = static_cast<std::uint32_t>(acc[i] >> 32);
+  }
+  r.trim();
+  return r;
 }
 
 BigUInt BigUInt::random_below(Xoshiro256& rng, const BigUInt& bound) {

@@ -83,7 +83,8 @@ class BigUInt {
 
   /// (a * b) mod m.
   static BigUInt mod_mul(const BigUInt& a, const BigUInt& b, const BigUInt& m);
-  /// (base ^ exp) mod m; m must be non-zero.
+  /// (base ^ exp) mod m; aborts if m is zero. Odd moduli run Montgomery
+  /// multiplication with a fixed exponent window.
   static BigUInt mod_exp(const BigUInt& base, const BigUInt& exp,
                          const BigUInt& m);
 

@@ -1,6 +1,7 @@
 #include "crypto/dh.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace secddr::crypto {
 namespace {
@@ -63,7 +64,11 @@ bool dh_check_public(const DhGroup& group, const BigUInt& pub) {
 std::vector<std::uint8_t> dh_shared_secret(const DhGroup& group,
                                            const BigUInt& priv,
                                            const BigUInt& peer_pub) {
-  assert(dh_check_public(group, peer_pub));
+  // Always on: a Release build must not exponentiate an unchecked value.
+  if (!dh_check_public(group, peer_pub)) {
+    std::fprintf(stderr, "dh_shared_secret: invalid peer public value\n");
+    std::abort();
+  }
   const BigUInt s = BigUInt::mod_exp(peer_pub, priv, group.p);
   return s.to_bytes_be(group.byte_length);
 }

@@ -41,7 +41,8 @@ DhKeyPair dh_generate(const DhGroup& group, Xoshiro256& rng);
 bool dh_check_public(const DhGroup& group, const BigUInt& pub);
 
 /// Computes the shared secret (peer_pub ^ priv mod p), serialized to the
-/// group's byte length for deterministic KDF input.
+/// group's byte length for deterministic KDF input. Aborts unless
+/// dh_check_public(group, peer_pub): callers validate untrusted values.
 std::vector<std::uint8_t> dh_shared_secret(const DhGroup& group,
                                            const BigUInt& priv,
                                            const BigUInt& peer_pub);

@@ -11,7 +11,7 @@ Sha256Digest hmac_sha256(const std::uint8_t* key, std::size_t key_len,
   if (key_len > 64) {
     const Sha256Digest kd = sha256(key, key_len);
     std::memcpy(k.data(), kd.data(), kd.size());
-  } else {
+  } else if (key_len > 0) {  // an empty key may be a null pointer
     std::memcpy(k.data(), key, key_len);
   }
   std::array<std::uint8_t, 64> ipad, opad;

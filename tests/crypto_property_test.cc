@@ -264,9 +264,15 @@ TEST(BigUIntProperties, ModExpEdgeModuliBasesAndExponents) {
   for (unsigned limbs : {2u, 3u, 4u, 5u, 17u, 48u, 49u})
     moduli.push_back(make_odd((BigUInt(1) << (32 * (limbs - 1))) +
                               random_bits(rng, 32 * (limbs - 1) - 3)));
+  // All-ones top limbs (like the RFC 3526 primes): the Montgomery
+  // accumulator's top carry limb is live.
+  for (unsigned limbs : {2u, 3u, 24u, 48u, 63u})
+    moduli.push_back((BigUInt(1) << (32 * limbs)) -
+                     make_odd(random_bits(rng, 29)));
   for (const BigUInt& m : moduli) {
-    const BigUInt bases[] = {BigUInt(0), BigUInt(1), BigUInt(2), m,
-                             m + BigUInt(1), m + m + BigUInt(5),
+    const BigUInt bases[] = {BigUInt(0), BigUInt(1), BigUInt(2),
+                             m - BigUInt(1), m, m + BigUInt(1),
+                             m + m + BigUInt(5),
                              random_bits(rng, m.bit_length() + 40)};
     const BigUInt exps[] = {BigUInt(0), BigUInt(1), BigUInt(2), BigUInt(31),
                             BigUInt(32), random_bits(rng, 97),
@@ -284,8 +290,11 @@ TEST(BigUIntProperties, ModExpEdgeModuliBasesAndExponents) {
 TEST(BigUIntProperties, ModExpMatchesReferenceAtGroupSizes) {
   Xoshiro256 rng(61);
   for (std::size_t bits : {1536u, 2048u}) {
-    for (int trial = 0; trial < 3; ++trial) {
-      const BigUInt m = make_odd(random_bits(rng, bits));
+    for (int trial = 0; trial < 4; ++trial) {
+      // The last trial sits just below 2^bits, as the RFC 3526 primes do.
+      const BigUInt m = trial < 3 ? make_odd(random_bits(rng, bits))
+                                  : (BigUInt(1) << static_cast<unsigned>(bits)) -
+                                        make_odd(random_bits(rng, 29));
       const BigUInt base = random_bits(rng, bits);
       const BigUInt exp = random_bits(rng, bits);
       EXPECT_EQ(BigUInt::mod_exp(base, exp, m), reference_mod_exp(base, exp, m))

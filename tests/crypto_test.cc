@@ -390,6 +390,25 @@ INSTANTIATE_TEST_SUITE_P(Groups, ModExpRfc3526, ::testing::Values(1536, 2048),
                            return "modp" + std::to_string(info.param);
                          });
 
+// The header's documented aborts hold in every build type, not only
+// where `assert` is live.
+TEST(BigUIntDeathTest, SubtractionUnderflowAborts) {
+  EXPECT_DEATH(BigUInt(1) - BigUInt(2), "underflow");
+  EXPECT_DEATH(BigUInt(5) - BigUInt::from_hex("100000000"), "underflow");
+}
+
+TEST(BigUIntDeathTest, DivisionByZeroAborts) {
+  BigUInt q, r;
+  EXPECT_DEATH(BigUInt::divmod(BigUInt(7), BigUInt(), q, r), "division by zero");
+  EXPECT_DEATH(BigUInt(7) / BigUInt(0), "division by zero");
+  EXPECT_DEATH(BigUInt(7) % BigUInt(0), "division by zero");
+}
+
+TEST(BigUIntDeathTest, ModExpZeroModulusAborts) {
+  EXPECT_DEATH(BigUInt::mod_exp(BigUInt(3), BigUInt(5), BigUInt()),
+               "zero modulus");
+}
+
 TEST(BigUInt, ShiftsAreConsistent) {
   const BigUInt v = BigUInt::from_hex("123456789abcdef0fedcba9876543210");
   EXPECT_EQ((v << 17) >> 17, v);
@@ -437,6 +456,14 @@ TEST(Dh, RejectsDegeneratePublicKeys) {
   EXPECT_FALSE(dh_check_public(g, g.p - BigUInt(1)));
   EXPECT_FALSE(dh_check_public(g, g.p));
   EXPECT_TRUE(dh_check_public(g, BigUInt(2)));
+}
+
+TEST(DhDeathTest, SharedSecretAbortsOnInvalidPeer) {
+  const DhGroup& g = DhGroup::modp1536();
+  const BigUInt priv(12345);
+  for (const BigUInt& bad : {BigUInt(0), BigUInt(1), g.p - BigUInt(1), g.p}) {
+    EXPECT_DEATH(dh_shared_secret(g, priv, bad), "invalid peer public value");
+  }
 }
 
 // ---------------------------------------------------------------- Schnorr

@@ -250,5 +250,49 @@ TEST(DimmDevice, RejectedWriteDoesNotConsumeCounter) {
   EXPECT_EQ(rig.dimm.transaction_counter(0), chan.engine->counter());
 }
 
+// The device validates the processor's DH value itself, in every build
+// type: a degenerate (0, 1, p - 1) or out-of-range (>= p) value arrives
+// over an untrusted bus and must never become the base of an installed
+// Kt. The rejection draws nothing from the device RNG and answers with a
+// public value the processor's own range check refuses.
+struct BadDhValue {
+  const char* name;
+  crypto::BigUInt value;
+};
+void PrintTo(const BadDhValue& v, std::ostream* os) { *os << v.name; }
+
+class DimmRejectsDhValue : public ::testing::TestWithParam<BadDhValue> {};
+
+TEST_P(DimmRejectsDhValue, InstallsNoKeyAndDrawsNoRandomness) {
+  const auto& group = crypto::DhGroup::modp1536();
+  Rig rig;
+  const Dimm::KxResponse resp = rig.dimm.key_exchange(0, GetParam().value);
+  EXPECT_FALSE(crypto::dh_check_public(group, resp.pub));
+  EXPECT_FALSE(rig.dimm.keys_established(0));
+  EXPECT_FALSE(rig.dimm.keys_established(1));
+
+  // A valid exchange afterwards sees the same device RNG state as one on
+  // a fresh module.
+  const crypto::BigUInt good = crypto::BigUInt::mod_exp(
+      group.g, crypto::BigUInt(0x5EC0DD), group.p);
+  Rig fresh;
+  EXPECT_EQ(rig.dimm.key_exchange(0, good).pub,
+            fresh.dimm.key_exchange(0, good).pub);
+  EXPECT_TRUE(rig.dimm.keys_established(0));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Values, DimmRejectsDhValue,
+    ::testing::Values(
+        BadDhValue{"Zero", crypto::BigUInt(0)},
+        BadDhValue{"One", crypto::BigUInt(1)},
+        BadDhValue{"PMinus1",
+                   crypto::DhGroup::modp1536().p - crypto::BigUInt(1)},
+        BadDhValue{"P", crypto::DhGroup::modp1536().p},
+        BadDhValue{"PPlus2",
+                   crypto::DhGroup::modp1536().p + crypto::BigUInt(2)},
+        BadDhValue{"Wide", crypto::BigUInt(3) << 1600}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 }  // namespace
 }  // namespace secddr::core
