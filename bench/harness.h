@@ -5,12 +5,6 @@
 //   SECDDR_WARMUP       warmup instructions per core   (default 75000)
 //   SECDDR_CORES        simulated cores                (default 4, Table I)
 //   SECDDR_CHANNELS     DDR channels (power of two; default 1, Table I)
-//   SECDDR_MEM_THREADS  per-channel memory tick threads inside each
-//                       sim::System (default 1 = serial; results are
-//                       bit-identical either way)
-//   SECDDR_THREAD_PRIORITY  jobs|mem: which side of the
-//                       jobs x mem_threads <= hardware clamp yields
-//                       (default: mem when SECDDR_CHANNELS > 1)
 //   SECDDR_FILTER       comma-free substring filter on workload names
 //   SECDDR_TRACE_DIR    directory of recorded trace files (see
 //                       trace_file_path); when every core of a workload
@@ -30,20 +24,6 @@
 //   SECDDR_THERMAL_PERIOD     throttled issue period, cycles (4)
 //   SECDDR_THERMAL_REMAP      1 enables temperature-aware bank remapping
 //
-// Thread-knob interplay: SECDDR_JOBS parallelizes across sweep points
-// (one System per worker) while SECDDR_MEM_THREADS parallelizes the
-// channels inside each System, so a sweep can run jobs x mem_threads
-// threads at once. The jobs x mem_threads <= hardware clamp picks a
-// side via SECDDR_THREAD_PRIORITY:
-//   jobs  clamp mem_threads to the share the sweep workers leave over
-//         (whole independent Systems scale embarrassingly);
-//   mem   clamp sweep jobs instead, keeping the in-System channel
-//         threads (epoch-decoupled ticking makes them a real scaling
-//         axis, and memory-bound points don't fill a machine with
-//         Systems anyway).
-// Default: mem when SECDDR_CHANNELS > 1 (there are channels to
-// decouple), jobs otherwise.
-//
 // Every binary prints an aligned text table with the same rows/series as
 // the paper's figure, plus the paper's headline numbers for comparison.
 #pragma once
@@ -54,7 +34,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fleet/checkpoint.h"
@@ -81,59 +60,11 @@ inline unsigned env_unsigned(const char* name, unsigned fallback) {
   return fallback;
 }
 
-/// Which side of the jobs x mem_threads <= hardware clamp yields (see
-/// the header comment).
-enum class ThreadPriority { kJobs, kMem };
-
-inline ThreadPriority thread_priority() {
-  if (const char* s = std::getenv("SECDDR_THREAD_PRIORITY")) {
-    if (std::strcmp(s, "jobs") == 0) return ThreadPriority::kJobs;
-    if (std::strcmp(s, "mem") == 0) return ThreadPriority::kMem;
-    std::fprintf(stderr,
-                 "SECDDR_THREAD_PRIORITY='%s' is not 'jobs' or 'mem'; "
-                 "using default\n",
-                 s);
-  }
-  return env_unsigned("SECDDR_CHANNELS", 1) > 1 ? ThreadPriority::kMem
-                                                : ThreadPriority::kJobs;
-}
-
-/// Per-System channel tick threads actually usable: the backend clamps
-/// SECDDR_MEM_THREADS to the channel count, so that is what a sweep job
-/// costs in threads.
-inline unsigned mem_threads_requested() {
-  return std::min(env_unsigned("SECDDR_MEM_THREADS", 1),
-                  env_unsigned("SECDDR_CHANNELS", 1));
-}
-
-/// Worker count for bench sweeps: SECDDR_JOBS if set, else hardware
-/// concurrency — then clamped so jobs x mem_threads fits the hardware
-/// when the mem side has priority. Lives here so the from_env()
-/// mem_threads clamp below and the sweep runner share one parse.
-inline unsigned sweep_jobs() {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  unsigned jobs = env_unsigned("SECDDR_JOBS", hw);
-  const unsigned mt = mem_threads_requested();
-  if (thread_priority() == ThreadPriority::kMem && mt > 1) {
-    const unsigned cap = std::max(1u, hw / mt);
-    if (jobs > cap) {
-      std::fprintf(stderr,
-                   "SECDDR_JOBS=%u clamped to %u: mem_threads=%u has "
-                   "priority (SECDDR_THREAD_PRIORITY) and jobs x "
-                   "mem_threads exceeds hardware concurrency (%u)\n",
-                   jobs, cap, mt, hw);
-      jobs = cap;
-    }
-  }
-  return jobs;
-}
-
 struct BenchOptions {
   std::uint64_t instructions = 150000;
   std::uint64_t warmup = 75000;
   unsigned cores = 4;
   unsigned channels = 1;
-  unsigned mem_threads = 1;
   std::string filter;
 
   static BenchOptions from_env() {
@@ -142,7 +73,6 @@ struct BenchOptions {
     if (const char* s = std::getenv("SECDDR_WARMUP")) o.warmup = std::strtoull(s, nullptr, 10);
     if (const char* s = std::getenv("SECDDR_CORES")) o.cores = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
     if (const char* s = std::getenv("SECDDR_CHANNELS")) o.channels = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-    if (const char* s = std::getenv("SECDDR_MEM_THREADS")) o.mem_threads = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
     if (const char* s = std::getenv("SECDDR_FILTER")) o.filter = s;
     // The channel selector needs a power-of-two count; fail loudly here
     // rather than routing addresses with a broken mask in Release builds
@@ -151,36 +81,6 @@ struct BenchOptions {
       std::fprintf(stderr, "SECDDR_CHANNELS=%u is not a power of two\n",
                    o.channels);
       std::exit(2);
-    }
-    if (o.mem_threads == 0) o.mem_threads = 1;
-    // Oversubscription guard: sweep workers each build their own System,
-    // so jobs x mem_threads barrier threads would thrash the machine.
-    // Which side yields is the explicit SECDDR_THREAD_PRIORITY policy:
-    // under mem priority sweep_jobs() clamps itself and mem_threads is
-    // bounded only by the hardware; under jobs priority (and an explicit
-    // SECDDR_JOBS) mem_threads is clamped to the share the sweep
-    // workers leave over. Results are unaffected either way (threaded
-    // ticking is bit-identical).
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    if (thread_priority() == ThreadPriority::kMem) {
-      if (o.mem_threads > hw) {
-        std::fprintf(stderr,
-                     "SECDDR_MEM_THREADS=%u clamped to hardware "
-                     "concurrency %u\n",
-                     o.mem_threads, hw);
-        o.mem_threads = hw;
-      }
-      return o;
-    }
-    const unsigned jobs =
-        std::getenv("SECDDR_JOBS") != nullptr ? sweep_jobs() : 1;
-    const unsigned max_mem_threads = std::max(1u, hw / std::max(1u, jobs));
-    if (o.mem_threads > max_mem_threads) {
-      std::fprintf(stderr,
-                   "SECDDR_MEM_THREADS=%u clamped to %u: SECDDR_JOBS=%u x "
-                   "mem_threads exceeds hardware concurrency (%u)\n",
-                   o.mem_threads, max_mem_threads, jobs, hw);
-      o.mem_threads = max_mem_threads;
     }
     return o;
   }
@@ -279,7 +179,6 @@ inline sim::SystemConfig make_system_config(const BenchOptions& opt,
   cfg.timings = timings;
   cfg.data_bytes = data_bytes_for(opt.cores);
   cfg.geometry.channels = opt.channels;
-  cfg.mem_threads = opt.mem_threads;
   cfg.power = thermal_config_from_env();
   // Total capacity scales with channels, so shrink the per-channel rows
   // first, then grow until the 2:1 headroom holds again.

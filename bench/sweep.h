@@ -10,8 +10,10 @@
 //                1 forces the serial in-thread path)
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -26,8 +28,12 @@ struct SweepPoint {
   dram::Timings timings = dram::Timings::ddr4_3200();
 };
 
-// (sweep_jobs() lives in harness.h so the SECDDR_MEM_THREADS clamp can
-// share it.)
+/// Worker count for bench sweeps: SECDDR_JOBS if set, else hardware
+/// concurrency.
+inline unsigned sweep_jobs() {
+  return env_unsigned("SECDDR_JOBS",
+                      std::max(1u, std::thread::hardware_concurrency()));
+}
 
 /// Runs `fn(0) .. fn(n-1)` on a pool of `jobs` threads. `jobs <= 1` runs
 /// everything on the calling thread. Indices are handed out atomically, so
@@ -41,14 +47,13 @@ void parallel_for(std::size_t n, unsigned jobs,
 /// index order. For sweeps whose points need knobs beyond SweepPoint
 /// (scheduler policy, prefetcher, cache sizes, ...).
 template <typename Fn>
-auto sweep_map(std::size_t n, Fn&& fn, unsigned jobs = 0) {
+auto sweep_map(std::size_t n, Fn&& fn) {
   using T = decltype(fn(std::size_t{0}));
   static_assert(!std::is_same_v<T, bool>,
                 "std::vector<bool> packs bits; concurrent per-index writes "
                 "would race — return an int or struct instead");
-  if (jobs == 0) jobs = sweep_jobs();
   std::vector<T> out(n);
-  parallel_for(n, jobs, [&](std::size_t i) { out[i] = fn(i); });
+  parallel_for(n, sweep_jobs(), [&](std::size_t i) { out[i] = fn(i); });
   return out;
 }
 

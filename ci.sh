@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI: build Debug and Release with -Wall -Wextra -Werror and run the
 # full test suite in each. Set SECDDR_CI_SANITIZE=1 to append an
-# address+undefined sanitizer build (unit, trace, fuzz, power and crypto
-# labels) plus a thread-sanitizer build.
+# address+undefined sanitizer build (unit, trace, fuzz, power, crypto and
+# fleet labels) plus a thread-sanitizer build.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -35,18 +35,10 @@ done
 SECDDR_CHANNELS=2 ctest --test-dir build-ci-release -L determinism \
       --no-tests=error --output-on-failure -j "$jobs"
 
-# Threaded-memory step: the determinism label with every variant's
-# channels ticked on 2 worker threads (SECDDR_MEM_THREADS; single-channel
-# variants clamp back to serial), Release build. Threaded and serial runs
-# must be bit-identical.
-SECDDR_MEM_THREADS=2 ctest --test-dir build-ci-release -L determinism \
-      --no-tests=error --output-on-failure -j "$jobs"
-
 # Epoch-decoupled bench smoke: a bounded Release run of bench/speed,
-# which hard-fails if the epoch loop or the threaded 4-channel sweep is
-# not bit-identical to the per-cycle serial reference. The wall-clock
-# speedup gate stays opt-in (SECDDR_SPEED_GATE_THREADS=1, for hosts with
-# >= 4 cores); the identity gate always runs.
+# which hard-fails if the event-driven loop is not bit-identical to the
+# per-cycle reference, or if the channel-scaling or scan-cost gates
+# regress.
 SECDDR_INSTR=4000 SECDDR_WARMUP=2000 SECDDR_FILTER=b SECDDR_SPEED_JSON='' \
       ./build-ci-release/speed
 
@@ -116,22 +108,16 @@ if [[ "${SECDDR_CI_SANITIZE:-0}" == "1" ]]; then
   # that label are already CI-bounded (well under the 10k bench run).
   # crypto pulls in the bignum property sweeps, so the Montgomery
   # kernel's 128-bit carry chains run sanitized too.
-  CTEST_ARGS=(-L 'unit|trace|fuzz|power|crypto')
+  # fleet adds the checkpoint corruption battery and the Node/coordinator
+  # worker processes.
+  CTEST_ARGS=(-L 'unit|trace|fuzz|power|crypto|fleet')
   run_matrix Debug build-ci-asan -DSECDDR_SANITIZE=address,undefined
-  # ThreadSanitizer over the threaded-backend paths (backend-level
-  # thread tests plus the threaded determinism tests, with the backend
-  # forced multi-threaded) and over the trace prefetch thread
+  # ThreadSanitizer over the only in-process threads: the sweep worker
+  # pool (ParallelFor, RunSweep) and the trace prefetch thread
   # (StreamFileTrace producer/consumer handoff, incl. mid-stream
-  # destruction in loop mode).
-  CTEST_ARGS=(-R "Threaded|SimFastPathDeterminism|StreamFileTrace|TraceSourceDeterminism|TraceCodec")
-  SECDDR_MEM_THREADS=2 run_matrix Debug build-ci-tsan -DSECDDR_SANITIZE=thread
-  # Epoch-decoupled races: the full determinism + fuzz labels with every
-  # variant's channels spread over 4 workers, so TSan watches the wide
-  # epoch windows (tick_until run-ahead + atomic wait/notify barrier),
-  # not just the per-cycle handoff the step above exercises.
-  SECDDR_MEM_THREADS=4 ctest --test-dir build-ci-tsan \
-        -L 'determinism|fuzz' --no-tests=error --output-on-failure \
-        -j "$jobs"
+  # destruction in loop mode). Each simulated System is single-threaded.
+  CTEST_ARGS=(-R "ParallelFor|RunSweep|SimFastPathDeterminism|StreamFileTrace|TraceSourceDeterminism|TraceCodec")
+  run_matrix Debug build-ci-tsan -DSECDDR_SANITIZE=thread
 fi
 
 echo "CI OK"

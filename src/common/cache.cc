@@ -124,10 +124,10 @@ void SetAssocCache::flush_all() {
 void SetAssocCache::save(serial::Sink& s) const {
   s.u64(sets_count_);
   s.u32(assoc_);
-  for (const std::uint64_t t : tags_) s.u64(t);
-  for (const std::uint64_t l : lru_) s.u64(l);
-  for (const std::uint32_t v : valid_) s.u32(v);
-  for (const std::uint32_t d : dirty_) s.u32(d);
+  s.array(tags_);
+  s.array(lru_);
+  s.array(valid_);
+  s.array(dirty_);
   s.u64(lru_clock_);
   s.u64(stats_.accesses);
   s.u64(stats_.misses);

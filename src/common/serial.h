@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace secddr::serial {
@@ -40,6 +41,23 @@ class Sink {
   void bytes(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
+  }
+  /// Every element of `v` as u32()/u64() would write it, with one buffer
+  /// resize for the whole array. Checkpoints are dominated by per-line
+  /// cache arrays; appending those a byte at a time made saving slow
+  /// enough in sanitizer builds to trip the fleet watchdog.
+  template <typename T>
+  void array(const std::vector<T>& v) {
+    static_assert(std::is_same_v<T, std::uint32_t> ||
+                  std::is_same_v<T, std::uint64_t>);
+    const std::size_t n = v.size();
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n * sizeof(T));
+    std::uint8_t* p = buf_.data() + at;
+    const T* src = v.data();
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        *p++ = static_cast<std::uint8_t>(src[k] >> (8 * i));
   }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }

@@ -5,7 +5,7 @@
 //
 //   Header (32 bytes)
 //     0   char[8]  magic            "SECDDRCK"
-//     8   u32      version          currently 1
+//     8   u32      version          currently 2
 //     12  u32      reserved         0
 //     16  u64      config_hash      System::config_hash() of the producer
 //     24  u32      reserved         0
@@ -92,7 +92,9 @@ namespace checkpoint {
 
 inline constexpr std::uint8_t kMagic[8] = {'S', 'E', 'C', 'D',
                                            'D', 'R', 'C', 'K'};
-inline constexpr std::uint32_t kVersion = 1;
+/// Bumped whenever the System::save payload layout changes, so an older
+/// file fails the version check instead of loading misaligned.
+inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 32;
 inline constexpr std::size_t kBlockHeaderBytes = 12;
 inline constexpr std::size_t kFooterTotalBytes = 8;

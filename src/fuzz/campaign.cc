@@ -42,9 +42,6 @@ CampaignOptions CampaignOptions::from_env() {
   if (const char* s = std::getenv("SECDDR_FUZZ_PROFILES")) o.profile_filter = s;
   o.exec.timing_leg = env_flag("SECDDR_FUZZ_SIM", false);
   o.exec.event_driven = env_flag("SECDDR_FUZZ_EVENT_DRIVEN", true);
-  if (const char* s = std::getenv("SECDDR_MEM_THREADS"))
-    o.exec.mem_threads =
-        std::max(1u, static_cast<unsigned>(std::strtoul(s, nullptr, 10)));
   if (const char* s = std::getenv("SECDDR_FUZZ_SAVE_DIR")) o.save_dir = s;
   return o;
 }

@@ -5,8 +5,8 @@
 // generated *sequentially* from one master RNG and executed in parallel
 // batches whose results are merged in generation order, so the campaign
 // is bit-reproducible from its seed at any SECDDR_FUZZ_JOBS — the
-// determinism tests diff the whole campaign log across job counts, loop
-// modes, and SECDDR_MEM_THREADS.
+// determinism tests diff the whole campaign log across job counts and
+// loop modes.
 //
 // Environment knobs (CampaignOptions::from_env; flags accept 0/1):
 //   SECDDR_FUZZ_TRIALS        mutated executions        (default 10000)
@@ -16,7 +16,6 @@
 //   SECDDR_FUZZ_PROFILES      substring filter on profile names
 //   SECDDR_FUZZ_SIM           1 = timing leg on         (default 0)
 //   SECDDR_FUZZ_EVENT_DRIVEN  timing-leg loop mode      (default 1)
-//   SECDDR_MEM_THREADS        timing-leg channel threads (default 1)
 //   SECDDR_FUZZ_SAVE_DIR      write escapes + their minimized forms here
 #pragma once
 

@@ -63,7 +63,6 @@ sim::SystemConfig timing_config(const ExecutorOptions& opts) {
   cfg.data_bytes = 4ull << 20;
   cfg.security = secmem::SecurityParams::secddr_xts();
   cfg.event_driven = opts.event_driven;
-  cfg.mem_threads = opts.mem_threads;
   return cfg;
 }
 
@@ -391,8 +390,8 @@ Outcome Executor::run(const FuzzInput& in) {
 
   // Optional timing leg: replay the ops through a tiny two-channel
   // system and fold the per-channel engine/DRAM counters in. RunResult
-  // is bit-identical across loop modes and mem-thread counts, so the
-  // signature cannot depend on either.
+  // is bit-identical across loop modes, so the signature cannot depend
+  // on the loop mode.
   if (opts_.timing_leg && !in.ops.empty()) {
     const sim::SystemConfig cfg = timing_config(opts_);
     std::vector<std::vector<sim::TraceRecord>> per_core(cfg.mem.cores);

@@ -11,8 +11,8 @@
 //  * Timing leg (optional): the same ops replayed through a tiny
 //    two-channel sim::System, folding per-channel security-engine and
 //    DRAM-controller counters into the coverage signature. Bit-identical
-//    across the per-cycle / event-driven loops and SECDDR_MEM_THREADS
-//    (the PR 2/4 guarantee), so signatures are loop-mode independent.
+//    across the per-cycle / event-driven loops, so signatures are
+//    loop-mode independent.
 //
 // Oracle: the executor maintains the controller's *believed* memory
 // image (updated only on writes the controller saw succeed). Verdicts:
@@ -69,10 +69,9 @@ struct Outcome {
 struct ExecutorOptions {
   /// Fold the timing-leg per-channel counters into the signature.
   bool timing_leg = false;
-  /// Timing-leg loop mode / threading (signatures must not depend on
-  /// these — pinned by the FuzzDeterminism tests).
+  /// Timing-leg loop mode (signatures must not depend on it — pinned by
+  /// the FuzzCampaign loop-mode tests).
   bool event_driven = true;
-  unsigned mem_threads = 1;
 };
 
 class Executor {

@@ -9,17 +9,6 @@ MemoryBackend::MemoryBackend(const BackendConfig& config)
     : selector_(config.geometry), event_driven_(config.event_driven) {
   const unsigned n = config.geometry.channels;
   assert(n >= 1);
-  // Per-channel tick threading: the caller ticks range 0 itself; workers
-  // 1..W-1 tick the rest. Contiguous ranges keep each worker's channels
-  // adjacent in memory.
-  const unsigned want = config.mem_threads > 0 ? config.mem_threads : 1;
-  const unsigned w = std::min(want, n);
-  if (w > 1) {
-    workers_ = w - 1;
-    for (unsigned i = 0; i < w; ++i)
-      ranges_.emplace_back(i * n / w, (i + 1) * n / w);
-    done_ = std::make_unique<DoneSlot[]>(workers_);
-  }
   // Each channel's local data slice must be dense: the selector removes
   // the channel bits, so the data region has to be a whole number of
   // interleave stripes per channel.
@@ -49,24 +38,10 @@ MemoryBackend::MemoryBackend(const BackendConfig& config)
         config.security, *ch.layout, *ch.dram);
     channels_.push_back(std::move(ch));
   }
-  // Spawn workers only after every channel exists.
-  for (unsigned i = 0; i < workers_; ++i)
-    threads_.emplace_back([this, i] { worker_loop(i); });
 }
 
-MemoryBackend::~MemoryBackend() {
-  if (workers_ > 0) {
-    stop_.store(true, std::memory_order_release);
-    epoch_.fetch_add(1, std::memory_order_release);
-    epoch_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-}
-
-void MemoryBackend::tick_range(unsigned begin, unsigned end, Cycle from,
-                               Cycle to) {
-  for (unsigned c = begin; c < end; ++c) {
-    Channel& ch = channels_[c];
+void MemoryBackend::tick_range(Cycle from, Cycle to) {
+  for (Channel& ch : channels_) {
     if (!event_driven_ || to - from == 1) {
       // Per-cycle reference path (and single-cycle epochs): identical to
       // the pre-epoch tick sequence, kept plain so the bit-exact
@@ -78,40 +53,6 @@ void MemoryBackend::tick_range(unsigned begin, unsigned end, Cycle from,
     } else {
       ch.engine->tick_until(from, to);
     }
-  }
-}
-
-namespace {
-// Bounded spin, then park on the atomic (C++20 wait/notify): short
-// epochs resolve within the spin so no syscall happens on the hot path,
-// while latency-idle phases park the thread instead of burning a core.
-// The notify side is unconditional — libstdc++ skips the futex syscall
-// when nobody is parked, so it costs one uncontended load per epoch.
-template <typename Load>
-void bounded_wait(std::atomic<std::uint64_t>& a, Load&& stale) {
-  constexpr unsigned kSpins = 4096;
-  for (;;) {
-    std::uint64_t v = 0;
-    for (unsigned spins = 0; spins < kSpins; ++spins) {
-      v = a.load(std::memory_order_acquire);
-      if (!stale(v)) return;
-    }
-    a.wait(v, std::memory_order_acquire);
-  }
-}
-}  // namespace
-
-void MemoryBackend::worker_loop(unsigned worker) {
-  const auto [begin, end] = ranges_[worker + 1];
-  std::uint64_t seen = 0;
-  for (;;) {
-    bounded_wait(epoch_, [&](std::uint64_t v) { return v == seen; });
-    const std::uint64_t e = epoch_.load(std::memory_order_acquire);
-    if (stop_.load(std::memory_order_acquire)) return;
-    tick_range(begin, end, tick_from_, tick_to_);
-    seen = e;
-    done_[worker].v.store(e, std::memory_order_release);
-    done_[worker].v.notify_all();
   }
 }
 
@@ -135,29 +76,9 @@ void MemoryBackend::run_window(Cycle from, Cycle to) {
 void MemoryBackend::dispatch(Cycle from, Cycle to) {
   ++dispatch_epochs_;
   dispatch_cycles_ += to - from;
-  if (workers_ == 0 || to - from == 1) {
-    // Single-cycle epochs (the per-cycle loop, and event-driven cycles
-    // where someone acts next tick) run on the caller: waking workers
-    // for one tick per channel costs more than the tick. The workers
-    // stay parked — they only cross the barrier for wide windows, which
-    // is what cuts crossings by orders of magnitude vs the per-cycle
-    // barrier. Execution order is the serial channel order either way,
-    // so results are unchanged.
-    tick_range(0, channels(), from, to);
-  } else {
-    ++barrier_crossings_;
-    tick_from_ = from;
-    tick_to_ = to;
-    const std::uint64_t e = epoch_.fetch_add(1, std::memory_order_release) + 1;
-    epoch_.notify_all();
-    const auto [begin, end] = ranges_[0];
-    tick_range(begin, end, from, to);
-    for (unsigned w = 0; w < workers_; ++w)
-      bounded_wait(done_[w].v, [&](std::uint64_t v) { return v != e; });
-  }
-  // Fixed channel-order aggregation barrier: ready results are gathered
-  // serially in channel order whatever thread produced them, so the
-  // MemorySystem observes the exact sequence the serial path produces.
+  tick_range(from, to);
+  // Fixed channel-order gather: the MemorySystem sees ready reads in
+  // channel order, whatever order they finished in.
   for (Channel& ch : channels_) {
     auto& r = ch.engine->ready();
     if (!r.empty()) {
@@ -270,7 +191,6 @@ void MemoryBackend::save(serial::Sink& s) const {
   }
   s.u64(dispatch_epochs_);
   s.u64(dispatch_cycles_);
-  s.u64(barrier_crossings_);
 }
 
 void MemoryBackend::load(serial::Source& s) {
@@ -290,13 +210,11 @@ void MemoryBackend::load(serial::Source& s) {
   }
   dispatch_epochs_ = s.u64();
   dispatch_cycles_ = s.u64();
-  barrier_crossings_ = s.u64();
 }
 
 void MemoryBackend::reset_stats() {
   dispatch_epochs_ = 0;
   dispatch_cycles_ = 0;
-  barrier_crossings_ = 0;
   for (Channel& ch : channels_) {
     ch.engine->reset_stats();
     ch.dram->reset_stats();

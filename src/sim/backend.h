@@ -16,10 +16,8 @@
 // SimFastPathDeterminism golden tests).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/serial.h"
@@ -46,26 +44,16 @@ struct BackendConfig {
   /// Per-channel dynamic power/thermal accounting + policies (off by
   /// default; accounting alone never perturbs timing).
   dram::PowerConfig power;
-  /// Opt-in per-channel tick parallelism: > 1 spreads the channels'
-  /// controller + security-engine tick loops across that many persistent
-  /// worker threads (clamped to the channel count; 1 = serial). Channels
-  /// share no state between LLC handoff points and results are gathered
-  /// in fixed channel order behind a barrier, so threaded and serial runs
-  /// produce bit-identical RunResults.
-  unsigned mem_threads = 1;
 };
 
 /// See file comment.
 class MemoryBackend {
  public:
   explicit MemoryBackend(const BackendConfig& config);
-  ~MemoryBackend();
   MemoryBackend(const MemoryBackend&) = delete;
   MemoryBackend& operator=(const MemoryBackend&) = delete;
 
   unsigned channels() const { return static_cast<unsigned>(channels_.size()); }
-  /// Worker threads actually ticking channels (1 = serial path).
-  unsigned mem_threads() const { return workers_ + 1; }
 
   /// Starts a secure data-line read; `tag` is reported via ready() when
   /// the decrypted and verified line is available. Routed to the owning
@@ -80,9 +68,8 @@ class MemoryBackend {
 
   // --- epoch-decoupled execution --------------------------------------
   /// Advances every channel through core cycles (from, to] in one epoch:
-  /// each worker runs its channels to the horizon with a channel-local
-  /// clock (event-driven skips applied locally), rejoining the barrier
-  /// once per window instead of once per cycle. The caller guarantees no
+  /// each channel runs to the horizon with a channel-local clock
+  /// (event-driven skips applied locally). The caller guarantees no
   /// start_read/start_write lands inside the window and that `to` does
   /// not exceed ready_window(from) — that makes the run-ahead
   /// rollback-free and bit-identical to per-cycle ticking. Finished
@@ -95,15 +82,11 @@ class MemoryBackend {
   /// externally invisible, so it bounds a rollback-free epoch. kNoEvent
   /// when no channel holds a read anywhere in its pipeline.
   Cycle ready_window(Cycle now) const;
-  /// Barrier-crossing telemetry: epochs dispatched and core cycles they
-  /// covered since the last reset_stats(). cycles/epochs is the mean
-  /// window width (1 in per-cycle mode; the whole point of the epoch
-  /// refactor is driving this up). barrier_crossings counts the epochs
-  /// that actually woke the worker threads (wide windows only;
-  /// single-cycle epochs run on the caller).
+  /// Epoch telemetry: epochs dispatched and core cycles they covered
+  /// since the last reset_stats(). cycles/epochs is the mean window
+  /// width (1 in per-cycle mode; the event-driven loop drives it up).
   std::uint64_t dispatch_epochs() const { return dispatch_epochs_; }
   std::uint64_t dispatch_cycles() const { return dispatch_cycles_; }
-  std::uint64_t barrier_crossings() const { return barrier_crossings_; }
 
   /// Ready reads since the last drain, across all channels (caller clears).
   std::vector<secmem::ReadReady>& ready() { return ready_; }
@@ -146,9 +129,8 @@ class MemoryBackend {
 
   /// Checkpoint hooks: every channel's DRAM system + security engine (in
   /// channel order), the gathered ready list, and the epoch telemetry.
-  /// Safe to call between epochs only (workers are parked then; all
-  /// channel state is owned by the caller thread). load() requires a
-  /// backend built from the identical config.
+  /// Safe to call between epochs only. load() requires a backend built
+  /// from the identical config.
   void save(serial::Sink& s) const;
   void load(serial::Source& s);
 
@@ -171,15 +153,14 @@ class MemoryBackend {
     std::unique_ptr<secmem::SecurityEngine> engine;
   };
 
-  /// Runs channels [begin, end) through core cycles (from, to]: plain
-  /// per-cycle ticks for width-1 windows and the per-cycle reference
-  /// loop, the engines' batched tick_until (channel-local clock +
-  /// event-driven skips) for wider epoch windows.
-  void tick_range(unsigned begin, unsigned end, Cycle from, Cycle to);
-  /// Common epoch dispatch behind tick()/run_window(): publishes the
-  /// window, crosses the barrier once, gathers ready() in channel order.
+  /// Runs every channel through core cycles (from, to]: plain per-cycle
+  /// ticks for width-1 windows and the per-cycle reference loop, the
+  /// engines' batched tick_until (channel-local clock + event-driven
+  /// skips) for wider epoch windows.
+  void tick_range(Cycle from, Cycle to);
+  /// Common epoch dispatch behind tick()/run_window(): ticks the window,
+  /// then gathers ready() in channel order.
   void dispatch(Cycle from, Cycle to);
-  void worker_loop(unsigned worker);
 
   dram::ChannelSelector selector_;
   std::vector<Channel> channels_;
@@ -187,30 +168,6 @@ class MemoryBackend {
   bool event_driven_ = false;
   std::uint64_t dispatch_epochs_ = 0;
   std::uint64_t dispatch_cycles_ = 0;
-  std::uint64_t barrier_crossings_ = 0;
-
-  // --- opt-in per-channel tick threading ------------------------------
-  // Epoch-window barrier: dispatch() publishes the window bounds and
-  // bumps `epoch_` (release); each worker runs its contiguous channel
-  // range through the whole window and stamps its `done` slot with the
-  // epoch (release); dispatch() waits until every slot caught up
-  // (acquire), then drains the engines' ready lists in fixed channel
-  // order. Between epochs the workers only watch `epoch_`, so all other
-  // backend methods stay plain serial code; the acquire/release pairs
-  // order every cross-thread channel access. Both wait sides spin
-  // briefly then park on the atomic (C++20 wait/notify) — see
-  // bounded_wait in backend.cc.
-  struct alignas(64) DoneSlot {
-    std::atomic<std::uint64_t> v{0};
-  };
-  unsigned workers_ = 0;  ///< extra threads beyond the caller (0 = serial)
-  std::vector<std::thread> threads_;
-  std::vector<std::pair<unsigned, unsigned>> ranges_;  ///< per worker+caller
-  std::unique_ptr<DoneSlot[]> done_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<bool> stop_{false};
-  Cycle tick_from_ = 0;  ///< window bounds, published before the epoch
-  Cycle tick_to_ = 0;    ///< release-store
 };
 
 }  // namespace secddr::sim

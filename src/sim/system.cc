@@ -9,6 +9,9 @@ namespace secddr::sim {
 System::System(const SystemConfig& config, std::vector<TraceSource*> traces)
     : config_(config) {
   assert(traces.size() == config.mem.cores);
+  if (config.mem_threads != 1)
+    throw std::invalid_argument(
+        "SystemConfig::mem_threads must be 1 (the memory backend is serial)");
   BackendConfig bc;
   bc.geometry = config.geometry;
   bc.timings = config.timings;
@@ -17,7 +20,6 @@ System::System(const SystemConfig& config, std::vector<TraceSource*> traces)
   bc.core_mhz = config.core_mhz;
   bc.data_bytes = config.data_bytes;
   bc.event_driven = config.event_driven;
-  bc.mem_threads = config.mem_threads;
   bc.power = config.power;
   backend_ = std::make_unique<MemoryBackend>(bc);
   memory_ = std::make_unique<MemorySystem>(config.mem, *backend_);

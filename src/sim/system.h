@@ -33,9 +33,9 @@ struct SystemConfig {
   /// RunResults (asserted by the SimFastPathDeterminism tests); turn off
   /// to cross-check or to profile the per-cycle loop (bench/speed.cc).
   bool event_driven = true;
-  /// Opt-in per-channel memory threading (see BackendConfig::mem_threads):
-  /// > 1 ticks the channels on that many threads, clamped to the channel
-  /// count. Threaded and serial runs are bit-identical.
+  /// Always 1: the memory backend ticks its channels serially on the
+  /// calling thread. Any other value makes System::System throw
+  /// std::invalid_argument. Kept only for callers that still assign it.
   unsigned mem_threads = 1;
   /// Per-channel dynamic power/thermal accounting + thermal-aware
   /// policies (dram::PowerConfig; everything off by default). Enabling
@@ -79,6 +79,7 @@ struct RunResult {
 class System {
  public:
   /// `traces` supplies one trace per core (config.mem.cores entries).
+  /// Throws std::invalid_argument when config.mem_threads != 1.
   System(const SystemConfig& config,
          std::vector<TraceSource*> traces);
 
@@ -122,9 +123,8 @@ class System {
   /// record. Throws std::runtime_error on any structural mismatch.
   void load(serial::Source& s);
   /// FNV-1a hash over every result-affecting config field. Excludes
-  /// event_driven / mem_threads (bit-identical execution strategies) and
-  /// cosmetic names, so a checkpoint restores into any equivalent
-  /// configuration.
+  /// event_driven (a bit-identical loop mode), mem_threads (fixed at 1)
+  /// and cosmetic names, so a checkpoint restores into either loop mode.
   std::uint64_t config_hash() const;
 
   MemoryBackend& backend() { return *backend_; }

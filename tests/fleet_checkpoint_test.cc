@@ -9,7 +9,9 @@
 //  * round-trip property: run a System partway, checkpoint, restore into
 //    a FRESH System (freshly positioned traces), run both to completion
 //    — the RunResults must be byte-identical to each other and to an
-//    uninterrupted run, across channels x mem_threads x both loop modes.
+//    uninterrupted run, across channel counts x both loop modes;
+//  * byte stability: a golden FNV-1a hash pins the System::save payload
+//    of a mid-run 2-channel System.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -99,11 +101,13 @@ TEST(FleetCheckpointFormat, CorruptionBattery) {
     b[20] ^= 0x01;  // inside config_hash
     expect_error(b, 28, "header checksum mismatch");
   }
-  {  // version skew (header CRC re-fixed, so the version check fires)
+  // Version skew (header CRC re-fixed, so the version check fires),
+  // including version 1, whose backend payload carried one more counter.
+  for (const std::uint32_t version : {1u, ck::kVersion + 7}) {
     std::vector<std::uint8_t> b = good;
-    sim::trace_codec::put_u32(b.data() + 8, ck::kVersion + 7);
+    sim::trace_codec::put_u32(b.data() + 8, version);
     refresh_header_crc(b);
-    expect_error(b, 8, "unsupported version 8");
+    expect_error(b, 8, "unsupported version " + std::to_string(version));
   }
   {  // truncated block header
     std::vector<std::uint8_t> b(good.begin(),
@@ -351,15 +355,13 @@ TEST(FleetCheckpointGenerations, RestoreFallsBackPastCorruptNewest) {
 // System-level checkpoint/restore.
 // ---------------------------------------------------------------------------
 
-sim::SystemConfig small_config(unsigned channels, unsigned mem_threads,
-                               bool event_driven) {
+sim::SystemConfig small_config(unsigned channels, bool event_driven) {
   sim::SystemConfig cfg;
   cfg.mem.cores = 2;
   cfg.security = secmem::SecurityParams::secddr_ctr();
   cfg.geometry.channels = channels;
   cfg.data_bytes = 4ull << 30;  // two cores at 2GB trace stride
   cfg.event_driven = event_driven;
-  cfg.mem_threads = mem_threads;
   return cfg;
 }
 
@@ -384,38 +386,34 @@ TEST(FleetSystemCheckpoint, MidRunRestoreIsBitIdenticalAcrossConfigs) {
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);
   for (const unsigned channels : {1u, 2u, 4u}) {
-    for (const unsigned mem_threads : {1u, 4u}) {
-      for (const bool event_driven : {false, true}) {
-        SCOPED_TRACE(std::to_string(channels) + "ch/mem_threads=" +
-                     std::to_string(mem_threads) + "/event_driven=" +
-                     std::to_string(event_driven));
-        const sim::SystemConfig cfg =
-            small_config(channels, mem_threads, event_driven);
+    for (const bool event_driven : {false, true}) {
+      SCOPED_TRACE(std::to_string(channels) + "ch/event_driven=" +
+                   std::to_string(event_driven));
+      const sim::SystemConfig cfg = small_config(channels, event_driven);
 
-        // Uninterrupted reference.
-        LiveSystem ref = make_system(*desc, cfg);
-        const std::vector<std::uint8_t> ref_bytes = ck::encode_result(
-            ref.sys->run(1200, 2'000'000'000, /*warmup=*/400));
+      // Uninterrupted reference.
+      LiveSystem ref = make_system(*desc, cfg);
+      const std::vector<std::uint8_t> ref_bytes = ck::encode_result(
+          ref.sys->run(1200, 2'000'000'000, /*warmup=*/400));
 
-        // Interrupted run: checkpoint mid-flight (a budget that lands
-        // inside the warmup or early measured phase), restore into a
-        // FRESH System, finish both, compare all three byte-for-byte.
-        LiveSystem a = make_system(*desc, cfg);
-        a.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        ASSERT_TRUE(a.sys->step(1500)) << "budget larger than the whole run";
-        const std::vector<std::uint8_t> image = ck::encode_system(*a.sys);
+      // Interrupted run: checkpoint mid-flight (a budget that lands
+      // inside the warmup or early measured phase), restore into a
+      // FRESH System, finish both, compare all three byte-for-byte.
+      LiveSystem a = make_system(*desc, cfg);
+      a.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      ASSERT_TRUE(a.sys->step(1500)) << "budget larger than the whole run";
+      const std::vector<std::uint8_t> image = ck::encode_system(*a.sys);
 
-        LiveSystem b = make_system(*desc, cfg);
-        b.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        ck::decode_system(*b.sys, image.data(), image.size(), "mid.ckpt");
+      LiveSystem b = make_system(*desc, cfg);
+      b.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      ck::decode_system(*b.sys, image.data(), image.size(), "mid.ckpt");
 
-        while (a.sys->step(kNoEvent)) {
-        }
-        while (b.sys->step(kNoEvent)) {
-        }
-        EXPECT_EQ(ck::encode_result(a.sys->result()), ref_bytes);
-        EXPECT_EQ(ck::encode_result(b.sys->result()), ref_bytes);
+      while (a.sys->step(kNoEvent)) {
       }
+      while (b.sys->step(kNoEvent)) {
+      }
+      EXPECT_EQ(ck::encode_result(a.sys->result()), ref_bytes);
+      EXPECT_EQ(ck::encode_result(b.sys->result()), ref_bytes);
     }
   }
 }
@@ -425,8 +423,8 @@ TEST(FleetSystemCheckpoint, MidRunRestoreRoundTripsThermalState) {
   // carries the remap table, in-window command counts, fixed-point rank
   // temperatures, and throttle engagement. A mid-run restore must finish
   // bit-identically to the uninterrupted run — across both loop modes
-  // and a threaded multi-channel backend (encode_result covers the power
-  // reports, so temperature trajectories are compared too).
+  // and a multi-channel backend (encode_result covers the power reports,
+  // so temperature trajectories are compared too).
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);
   dram::PowerConfig power;
@@ -440,55 +438,51 @@ TEST(FleetSystemCheckpoint, MidRunRestoreRoundTripsThermalState) {
   power.remap_delta_mc = 100;
   power.remap_min_windows = 2;
   for (const unsigned channels : {1u, 2u}) {
-    for (const unsigned mem_threads : {1u, 2u}) {
-      for (const bool event_driven : {false, true}) {
-        SCOPED_TRACE(std::to_string(channels) + "ch/mem_threads=" +
-                     std::to_string(mem_threads) + "/event_driven=" +
-                     std::to_string(event_driven));
-        sim::SystemConfig cfg =
-            small_config(channels, mem_threads, event_driven);
-        cfg.power = power;
+    for (const bool event_driven : {false, true}) {
+      SCOPED_TRACE(std::to_string(channels) + "ch/event_driven=" +
+                   std::to_string(event_driven));
+      sim::SystemConfig cfg = small_config(channels, event_driven);
+      cfg.power = power;
 
-        LiveSystem ref = make_system(*desc, cfg);
-        const std::vector<std::uint8_t> ref_bytes = ck::encode_result(
-            ref.sys->run(1200, 2'000'000'000, /*warmup=*/400));
+      LiveSystem ref = make_system(*desc, cfg);
+      const std::vector<std::uint8_t> ref_bytes = ck::encode_result(
+          ref.sys->run(1200, 2'000'000'000, /*warmup=*/400));
 
-        LiveSystem a = make_system(*desc, cfg);
-        a.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        ASSERT_TRUE(a.sys->step(1500)) << "budget larger than the whole run";
-        const std::vector<std::uint8_t> image = ck::encode_system(*a.sys);
+      LiveSystem a = make_system(*desc, cfg);
+      a.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      ASSERT_TRUE(a.sys->step(1500)) << "budget larger than the whole run";
+      const std::vector<std::uint8_t> image = ck::encode_system(*a.sys);
 
-        LiveSystem b = make_system(*desc, cfg);
-        b.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        ck::decode_system(*b.sys, image.data(), image.size(), "thermal.ckpt");
-        while (a.sys->step(kNoEvent)) {
-        }
-        while (b.sys->step(kNoEvent)) {
-        }
-        EXPECT_EQ(ck::encode_result(a.sys->result()), ref_bytes);
-        EXPECT_EQ(ck::encode_result(b.sys->result()), ref_bytes);
-
-        // A power-enabled config hashes differently from the default, so
-        // this checkpoint cannot restore into a power-off System.
-        LiveSystem plain =
-            make_system(*desc, small_config(channels, 1, event_driven));
-        plain.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        EXPECT_THROW(ck::decode_system(*plain.sys, image.data(), image.size(),
-                                       "thermal.ckpt"),
-                     CheckpointFormatError);
+      LiveSystem b = make_system(*desc, cfg);
+      b.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      ck::decode_system(*b.sys, image.data(), image.size(), "thermal.ckpt");
+      while (a.sys->step(kNoEvent)) {
       }
+      while (b.sys->step(kNoEvent)) {
+      }
+      EXPECT_EQ(ck::encode_result(a.sys->result()), ref_bytes);
+      EXPECT_EQ(ck::encode_result(b.sys->result()), ref_bytes);
+
+      // A power-enabled config hashes differently from the default, so
+      // this checkpoint cannot restore into a power-off System.
+      LiveSystem plain =
+          make_system(*desc, small_config(channels, event_driven));
+      plain.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      EXPECT_THROW(ck::decode_system(*plain.sys, image.data(), image.size(),
+                                     "thermal.ckpt"),
+                   CheckpointFormatError);
     }
   }
 }
 
-TEST(FleetSystemCheckpoint, RestoreCrossesLoopModeAndThreadCount) {
-  // config_hash() excludes the execution knobs, so a checkpoint written
-  // by the serial per-cycle loop must restore into an event-driven
-  // epoch-threaded System — and still finish bit-identically.
+TEST(FleetSystemCheckpoint, RestoreCrossesLoopMode) {
+  // config_hash() excludes the loop mode, so a checkpoint written by the
+  // per-cycle loop must restore into an event-driven System — and still
+  // finish bit-identically.
   const auto* desc = workloads::find("lbm");
   ASSERT_NE(desc, nullptr);
   LiveSystem writer =
-      make_system(*desc, small_config(2, 1, /*event_driven=*/false));
+      make_system(*desc, small_config(2, /*event_driven=*/false));
   writer.sys->begin(1000, 2'000'000'000, /*warmup=*/300);
   ASSERT_TRUE(writer.sys->step(900));
   const std::vector<std::uint8_t> image = ck::encode_system(*writer.sys);
@@ -496,7 +490,7 @@ TEST(FleetSystemCheckpoint, RestoreCrossesLoopModeAndThreadCount) {
   }
 
   LiveSystem reader =
-      make_system(*desc, small_config(2, 2, /*event_driven=*/true));
+      make_system(*desc, small_config(2, /*event_driven=*/true));
   reader.sys->begin(1000, 2'000'000'000, /*warmup=*/300);
   ck::decode_system(*reader.sys, image.data(), image.size(), "cross.ckpt");
   while (reader.sys->step(kNoEvent)) {
@@ -509,13 +503,13 @@ TEST(FleetSystemCheckpoint, ConfigHashMismatchIsRejectedAtOffset16) {
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);
   LiveSystem writer =
-      make_system(*desc, small_config(1, 1, /*event_driven=*/true));
+      make_system(*desc, small_config(1, /*event_driven=*/true));
   writer.sys->begin(600, 2'000'000'000, /*warmup=*/200);
   ASSERT_TRUE(writer.sys->step(500));
   const std::vector<std::uint8_t> image = ck::encode_system(*writer.sys);
 
   // A different security configuration is a different config hash.
-  sim::SystemConfig other = small_config(1, 1, /*event_driven=*/true);
+  sim::SystemConfig other = small_config(1, /*event_driven=*/true);
   other.security = secmem::SecurityParams::baseline_tree_ctr();
   LiveSystem reader = make_system(*desc, other);
   reader.sys->begin(600, 2'000'000'000, /*warmup=*/200);
@@ -529,18 +523,50 @@ TEST(FleetSystemCheckpoint, ConfigHashMismatchIsRejectedAtOffset16) {
         << e.what();
   }
 
-  // Execution-equivalent knobs (loop mode, threads) hash identically.
+  // The loop mode is execution-equivalent and hashes identically.
   EXPECT_EQ(writer.sys->config_hash(),
-            make_system(*desc, small_config(1, 4, /*event_driven=*/false))
+            make_system(*desc, small_config(1, /*event_driven=*/false))
                 .sys->config_hash());
   EXPECT_NE(writer.sys->config_hash(), reader.sys->config_hash());
+}
+
+// Byte-stability spec for the System::save payload: a mid-run 2-channel
+// System (both loop modes) must serialize to exactly these bytes. Any
+// change to what a component saves, or the order it saves it in, moves
+// the hash; an intentional format change must bump ck::kVersion and
+// recapture the goldens.
+TEST(FleetSystemCheckpoint, MidRunPayloadMatchesGolden) {
+  const auto* desc = workloads::find("mcf");
+  ASSERT_NE(desc, nullptr);
+  struct Golden {
+    bool event_driven;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  for (const Golden& g : {Golden{false, 1186452, 0x32169885ee6b619bull},
+                          Golden{true, 1186452, 0x83e80c26db873d3eull}}) {
+    SCOPED_TRACE("event_driven=" + std::to_string(g.event_driven));
+    LiveSystem live = make_system(*desc, small_config(2, g.event_driven));
+    live.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+    ASSERT_TRUE(live.sys->step(1500));
+    serial::Sink s;
+    live.sys->save(s);
+    const std::vector<std::uint8_t> payload = s.take();
+    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+    for (const std::uint8_t b : payload) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(payload.size(), g.bytes);
+    EXPECT_EQ(h, g.fnv);
+  }
 }
 
 TEST(FleetSystemCheckpoint, TruncatedSystemPayloadReportsOffset) {
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);
   LiveSystem writer =
-      make_system(*desc, small_config(1, 1, /*event_driven=*/true));
+      make_system(*desc, small_config(1, /*event_driven=*/true));
   writer.sys->begin(600, 2'000'000'000, /*warmup=*/200);
   ASSERT_TRUE(writer.sys->step(500));
   serial::Sink s;
@@ -551,7 +577,7 @@ TEST(FleetSystemCheckpoint, TruncatedSystemPayloadReportsOffset) {
       ck::encode(writer.sys->config_hash(), payload);
 
   LiveSystem reader =
-      make_system(*desc, small_config(1, 1, /*event_driven=*/true));
+      make_system(*desc, small_config(1, /*event_driven=*/true));
   reader.sys->begin(600, 2'000'000'000, /*warmup=*/200);
   try {
     ck::decode_system(*reader.sys, image.data(), image.size(), "cut.ckpt");

@@ -4,9 +4,8 @@
 //    PR 6 acceptance criterion (the full >= 10k-trial run is
 //    bench/fuzz_campaign; this is the CI-bounded version);
 //  * bit-reproducibility: same seed => byte-identical campaign log and
-//    identical coverage, across worker counts, the per-cycle and
-//    event-driven timing-leg loops, and epoch-decoupled channel threads
-//    (mem_threads 2 and 4), plus executor-level snapshot/restore
+//    identical coverage, across worker counts and the per-cycle and
+//    event-driven timing-leg loops, plus executor-level snapshot/restore
 //    determinism through epoch-advanced timing sessions;
 //  * the checked-in regression traces under tests/regress/ — one per
 //    engine bug the campaign forced — replay as detected-with-no-silent-
@@ -55,8 +54,8 @@ TEST(FuzzCampaign, LogIsByteIdenticalAcrossWorkerCounts) {
 TEST(FuzzCampaign, LogIsByteIdenticalAcrossTimingLoopModes) {
   // Timing leg on: the coverage signature folds in per-channel engine +
   // DRAM counters, which the PR 2/4 determinism guarantee makes
-  // bit-identical across the per-cycle loop, the event-driven loop, and
-  // threaded channel ticking — so the campaign transcript cannot differ.
+  // bit-identical across the per-cycle and event-driven loops — so the
+  // campaign transcript cannot differ.
   CampaignOptions per_cycle = bounded(150);
   per_cycle.exec.timing_leg = true;
   per_cycle.exec.event_driven = false;
@@ -64,21 +63,9 @@ TEST(FuzzCampaign, LogIsByteIdenticalAcrossTimingLoopModes) {
   CampaignOptions event_driven = per_cycle;
   event_driven.exec.event_driven = true;
 
-  CampaignOptions threaded = event_driven;
-  threaded.exec.mem_threads = 2;
-
-  // Fully threaded epoch-decoupled backend (the timing leg's config has
-  // 2 channels, so 4 clamps to 2 workers crossing the epoch barrier).
-  CampaignOptions threaded4 = event_driven;
-  threaded4.exec.mem_threads = 4;
-
   const CampaignResult a = Campaign(per_cycle).run();
   const CampaignResult b = Campaign(event_driven).run();
-  const CampaignResult c = Campaign(threaded).run();
-  const CampaignResult d = Campaign(threaded4).run();
   EXPECT_EQ(a.log, b.log);
-  EXPECT_EQ(b.log, c.log);
-  EXPECT_EQ(c.log, d.log);
   EXPECT_TRUE(a.clean()) << a.log;
 }
 
@@ -88,7 +75,7 @@ TEST(FuzzCampaign, ExecutorDeterministicAfterRestoreWithEpochTiming) {
   // run advances the backend through multi-cycle windows, so this checks
   // restore lands the simulator in a state from which re-running an
   // earlier input reproduces its Outcome bit-for-bit — across loop modes
-  // and thread counts too.
+  // too.
   Mutator m(0xEB0C);
   const FuzzInput first = m.random_input();
   FuzzInput second = m.random_input();
@@ -97,7 +84,6 @@ TEST(FuzzCampaign, ExecutorDeterministicAfterRestoreWithEpochTiming) {
   ExecutorOptions epoch;
   epoch.timing_leg = true;
   epoch.event_driven = true;
-  epoch.mem_threads = 2;
   Executor ex(epoch);
   const Outcome before = ex.run(first);
   ex.run(second);  // interleaved input advances + restores the sessions
@@ -109,13 +95,12 @@ TEST(FuzzCampaign, ExecutorDeterministicAfterRestoreWithEpochTiming) {
   EXPECT_EQ(before.silent_mismatches, after.silent_mismatches);
   EXPECT_EQ(before.faults_fired, after.faults_fired);
 
-  // The same inputs through the per-cycle serial reference leg: the
+  // The same inputs through the per-cycle reference leg: the
   // signature folds per-channel timing counters, so equality here is the
   // executor-level bit-identity gate for the epoch path.
   ExecutorOptions serial;
   serial.timing_leg = true;
   serial.event_driven = false;
-  serial.mem_threads = 1;
   Executor ref(serial);
   const Outcome ref_first = ref.run(first);
   EXPECT_EQ(ref_first.signature, before.signature);
@@ -129,15 +114,14 @@ TEST(FuzzCampaign, MasterSnapshotRoundTripsThroughCheckpointInFreshProcess) {
   // exports them (byte identity proves the codec is lossless, including
   // unordered_map content independent of per-process iteration order),
   // and replays the same input — its campaign signature must match the
-  // parent's bit-for-bit even though the child runs the per-cycle serial
-  // timing leg against the parent's epoch-threaded one.
+  // parent's bit-for-bit even though the child runs the per-cycle
+  // timing leg against the parent's event-driven one.
   Mutator m(0xEB0C);
   const FuzzInput input = m.random_input();
 
   ExecutorOptions epoch;
   epoch.timing_leg = true;
   epoch.event_driven = true;
-  epoch.mem_threads = 2;
   Executor ex(epoch);
   const Outcome parent_out = ex.run(input);
   const std::vector<std::uint8_t> payload = ex.master_snapshot(input.profile);
@@ -168,7 +152,6 @@ TEST(FuzzCampaign, MasterSnapshotRoundTripsThroughCheckpointInFreshProcess) {
       ExecutorOptions serial_ref;
       serial_ref.timing_leg = true;
       serial_ref.event_driven = false;
-      serial_ref.mem_threads = 1;
       Executor fresh(serial_ref);
       fresh.set_master_snapshot(input.profile, restored.data(),
                                 restored.size());

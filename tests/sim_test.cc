@@ -1,6 +1,7 @@
 // CPU simulator: trace-driven core, prefetcher, memory system plumbing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "dram/system.h"
@@ -322,6 +323,21 @@ TEST(System, DramSeesTraffic) {
   EXPECT_GT(r.dram.reads_completed, 0u);
   EXPECT_GT(r.dram.writes_completed, 0u);  // lbm is write-heavy
   EXPECT_GT(r.dram.row_hits, 0u);
+}
+
+// The memory backend is serial: a config asking for channel threads is
+// rejected in every build type, not silently run serially.
+TEST(System, RejectsMemThreadsOtherThanOne) {
+  auto desc = *workloads::find("gcc");
+  workloads::SyntheticTrace t0(desc, 0), t1(desc, 1);
+  auto cfg = small_system(secmem::SecurityParams::secddr_ctr());
+  cfg.geometry.channels = 2;
+  for (const unsigned mem_threads : {0u, 2u, 4u}) {
+    cfg.mem_threads = mem_threads;
+    EXPECT_THROW(System(cfg, {&t0, &t1}), std::invalid_argument);
+  }
+  cfg.mem_threads = 1;
+  EXPECT_NO_THROW(System(cfg, {&t0, &t1}));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // error propagation, and serial/parallel result equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -104,11 +105,6 @@ TEST(RunSweep, ParallelMatchesSerial) {
   }
 }
 
-TEST(SweepJobs, EnvOverride) {
-  // Only exercised when the env knob is absent: default must be >= 1.
-  EXPECT_GE(sweep_jobs(), 1u);
-}
-
 // Sets an env var for one test, restoring the previous value (or absence)
 // on destruction so the knob tests cannot leak into each other.
 class ScopedEnv {
@@ -132,6 +128,13 @@ class ScopedEnv {
   std::optional<std::string> saved_;
 };
 
+TEST(SweepJobs, EnvOverride) {
+  ScopedEnv j("SECDDR_JOBS", nullptr);
+  EXPECT_EQ(sweep_jobs(), std::max(1u, std::thread::hardware_concurrency()));
+  ::setenv("SECDDR_JOBS", "3", 1);
+  EXPECT_EQ(sweep_jobs(), 3u);
+}
+
 TEST(ThreadKnobs, EnvUnsignedRejectsMalformedValues) {
   ScopedEnv e("SECDDR_TEST_KNOB", nullptr);
   EXPECT_EQ(env_unsigned("SECDDR_TEST_KNOB", 7u), 7u);  // unset
@@ -143,52 +146,6 @@ TEST(ThreadKnobs, EnvUnsignedRejectsMalformedValues) {
   EXPECT_EQ(env_unsigned("SECDDR_TEST_KNOB", 7u), 7u);
   ::setenv("SECDDR_TEST_KNOB", "2x", 1);  // trailing junk
   EXPECT_EQ(env_unsigned("SECDDR_TEST_KNOB", 7u), 7u);
-}
-
-TEST(ThreadKnobs, PriorityDefaultsFollowChannelCount) {
-  ScopedEnv p("SECDDR_THREAD_PRIORITY", nullptr);
-  ScopedEnv c("SECDDR_CHANNELS", nullptr);
-  // Single channel: nothing to decouple, sweep jobs keep priority.
-  EXPECT_EQ(thread_priority(), ThreadPriority::kJobs);
-  // Multiple channels flip the default to the in-System threads.
-  ::setenv("SECDDR_CHANNELS", "4", 1);
-  EXPECT_EQ(thread_priority(), ThreadPriority::kMem);
-  // Explicit override beats the channel heuristic in both directions.
-  ::setenv("SECDDR_THREAD_PRIORITY", "jobs", 1);
-  EXPECT_EQ(thread_priority(), ThreadPriority::kJobs);
-  ::unsetenv("SECDDR_CHANNELS");
-  ::setenv("SECDDR_THREAD_PRIORITY", "mem", 1);
-  EXPECT_EQ(thread_priority(), ThreadPriority::kMem);
-  // Garbage falls back to the heuristic default.
-  ::setenv("SECDDR_THREAD_PRIORITY", "bogus", 1);
-  EXPECT_EQ(thread_priority(), ThreadPriority::kJobs);
-}
-
-TEST(ThreadKnobs, MemPriorityClampsSweepJobsNotMemThreads) {
-  ScopedEnv p("SECDDR_THREAD_PRIORITY", "mem");
-  ScopedEnv c("SECDDR_CHANNELS", "4");
-  ScopedEnv m("SECDDR_MEM_THREADS", "4");
-  ScopedEnv j("SECDDR_JOBS", "64");
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  // Under mem priority jobs yield: 64 x 4 cannot fit any machine CTest
-  // runs on, so sweep_jobs() must clamp to the share mem_threads leaves.
-  EXPECT_EQ(sweep_jobs(), std::max(1u, hw / 4));
-  // ...while mem_threads itself is bounded only by the hardware.
-  const BenchOptions o = BenchOptions::from_env();
-  EXPECT_EQ(o.mem_threads, std::min(4u, hw));
-}
-
-TEST(ThreadKnobs, JobsPriorityClampsMemThreads) {
-  ScopedEnv p("SECDDR_THREAD_PRIORITY", "jobs");
-  ScopedEnv c("SECDDR_CHANNELS", "4");
-  ScopedEnv m("SECDDR_MEM_THREADS", "64");
-  ScopedEnv j("SECDDR_JOBS", "2");
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  // Jobs keep their requested width...
-  EXPECT_EQ(sweep_jobs(), 2u);
-  // ...and mem_threads is squeezed into the share the workers leave.
-  const BenchOptions o = BenchOptions::from_env();
-  EXPECT_EQ(o.mem_threads, std::max(1u, hw / 2));
 }
 
 }  // namespace
