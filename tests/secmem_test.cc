@@ -310,6 +310,111 @@ TEST(Engine, MetaArrivalStampsDramFinishNotTickTime) {
   EXPECT_EQ(ready_at(13), fine);
 }
 
+// ------------------------------------------------------- ready_bound
+
+// Lines the fill reads never touch (the fill uses 4KB-strided lines
+// below 256KB).
+constexpr Addr kLineX = 0x3000'0040;
+constexpr Addr kLineY = 0x2000'0080;
+
+// Fills the 64-entry DRAM read queue at cycle `rig.now` with XTS data
+// reads (no metadata), so every later read is deferred in the engine.
+void fill_read_queue(Rig& rig) {
+  for (std::uint64_t i = 0; rig.dram.can_accept_read(); ++i)
+    rig.engine.start_read(static_cast<Addr>(i) * 4096, i, rig.now);
+  ASSERT_EQ(rig.dram.queued_reads(), 64u);
+}
+
+// The tCL column floor every queued or deferred read is held to.
+Cycle column_bound(const Rig& rig) {
+  return rig.now + rig.dram.core_cycles_until_mem(rig.dram.memory_cycle() +
+                                                  rig.dram.timings().tCL);
+}
+
+TEST(EngineReadyBound, DeferredReadBehindDeferredSameLineWriteIsNowPlus2) {
+  Rig rig(SecurityParams::encrypt_only_xts());
+  fill_read_queue(rig);
+  rig.engine.start_read(kLineY, 100, rig.now);  // deferred: queue full
+  rig.engine.start_write(kLineX, rig.now);      // deferred behind it
+  rig.engine.start_read(kLineX, 101, rig.now);  // forwarded once it lands
+  ASSERT_EQ(rig.dram.pending(), 64u);  // all three deferred
+  ASSERT_GT(column_bound(rig), rig.now + 2);
+  EXPECT_EQ(rig.engine.ready_bound(rig.now), rig.now + 2);
+}
+
+TEST(EngineReadyBound, DeferredReadOfLineInDramWriteQueueIsNowPlus2) {
+  Rig rig(SecurityParams::encrypt_only_xts());
+  fill_read_queue(rig);
+  rig.engine.start_write(kLineX, rig.now);  // straight into the write queue
+  rig.engine.start_read(kLineX, 100, rig.now);  // deferred: queue full
+  ASSERT_EQ(rig.dram.pending(), 65u);
+  ASSERT_GT(column_bound(rig), rig.now + 2);
+  EXPECT_EQ(rig.engine.ready_bound(rig.now), rig.now + 2);
+}
+
+TEST(EngineReadyBound, DeferredReadsWithoutSameLineWriteGiveColumnBound) {
+  Rig rig(SecurityParams::encrypt_only_xts());
+  fill_read_queue(rig);
+  rig.engine.start_read(kLineY, 100, rig.now);
+  // A same-line write queued *behind* the read cannot forward it.
+  rig.engine.start_read(kLineX, 101, rig.now);
+  rig.engine.start_write(kLineX, rig.now);
+  ASSERT_EQ(rig.dram.inflight_read_finish(), kNoEvent);
+  EXPECT_EQ(rig.engine.ready_bound(rig.now), column_bound(rig));
+
+  // Mid-run, with reads in flight: the min of the in-flight arrival and
+  // the column floor, as long as the deferred reads stay unforwardable.
+  while (rig.dram.inflight_read_finish() == kNoEvent) {
+    ++rig.now;
+    rig.dram.tick_core_cycle();
+    rig.engine.tick(rig.now);
+  }
+  ASSERT_FALSE(rig.dram.has_undrained_completions());
+  const Cycle inflight =
+      rig.now + rig.dram.core_cycles_until_mem(rig.dram.inflight_read_finish());
+  EXPECT_EQ(rig.engine.ready_bound(rig.now),
+            std::min(inflight, column_bound(rig)));
+}
+
+TEST(EngineReadyBound, OnlyDeferredWritesIsNoEvent) {
+  Rig rig(SecurityParams::encrypt_only_xts());
+  for (std::uint64_t i = 0; rig.dram.can_accept_write(); ++i)
+    rig.engine.start_write(static_cast<Addr>(i) * 4096, rig.now);
+  rig.engine.start_write(kLineX, rig.now);  // deferred: write queue full
+  rig.engine.start_write(kLineY, rig.now);
+  ASSERT_EQ(rig.engine.outstanding(), 64u + 2u);
+  ASSERT_EQ(rig.dram.queued_reads(), 0u);
+  ASSERT_EQ(rig.dram.inflight_read_finish(), kNoEvent);
+  EXPECT_EQ(rig.engine.ready_bound(rig.now), kNoEvent);
+}
+
+TEST(EngineReadyBound, SaveLoadWithDeferredReadsKeepsBoundAndBytes) {
+  const auto save = [](const Rig& rig) {
+    serial::Sink s;
+    rig.dram.save(s);
+    rig.engine.save(s);
+    return s.take();
+  };
+  for (const bool in_write_queue : {false, true}) {
+    Rig donor(SecurityParams::encrypt_only_xts());
+    fill_read_queue(donor);
+    if (!in_write_queue) donor.engine.start_read(kLineY, 100, donor.now);
+    donor.engine.start_write(kLineX, donor.now);
+    donor.engine.start_read(kLineX, 101, donor.now);
+    donor.engine.start_read(kLineY + 4096, 102, donor.now);
+    const Cycle bound = donor.engine.ready_bound(donor.now);
+    ASSERT_EQ(bound, donor.now + 2);
+    const std::vector<std::uint8_t> bytes = save(donor);
+
+    Rig restored(SecurityParams::encrypt_only_xts());
+    serial::Source src(bytes);
+    restored.dram.load(src);
+    restored.engine.load(src);
+    EXPECT_EQ(restored.engine.ready_bound(donor.now), bound) << in_write_queue;
+    EXPECT_EQ(save(restored), bytes) << in_write_queue;
+  }
+}
+
 TEST(Engine, SharedFetchesAreDeduplicated) {
   Rig rig(SecurityParams::encrypt_only_ctr());
   // Two reads under the same counter line, back to back.
