@@ -2,7 +2,7 @@
 # Tier-1 CI: build Debug and Release with -Wall -Wextra -Werror and run the
 # full test suite in each. Set SECDDR_CI_SANITIZE=1 to append an
 # address+undefined sanitizer build (unit, trace, fuzz, power, crypto and
-# fleet labels) plus a thread-sanitizer build.
+# fleet labels; UBSan reports are fatal) plus a thread-sanitizer build.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -109,9 +109,12 @@ if [[ "${SECDDR_CI_SANITIZE:-0}" == "1" ]]; then
   # crypto pulls in the bignum property sweeps, so the Montgomery
   # kernel's 128-bit carry chains run sanitized too.
   # fleet adds the checkpoint corruption battery and the Node/coordinator
-  # worker processes.
+  # worker processes. A UBSan report fails the test that hit it, with a
+  # stack trace, instead of only printing.
   CTEST_ARGS=(-L 'unit|trace|fuzz|power|crypto|fleet')
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   run_matrix Debug build-ci-asan -DSECDDR_SANITIZE=address,undefined
+  unset UBSAN_OPTIONS
   # ThreadSanitizer over the only in-process threads: the sweep worker
   # pool (ParallelFor, RunSweep) and the trace prefetch thread
   # (StreamFileTrace producer/consumer handoff, incl. mid-stream

@@ -224,10 +224,11 @@ bool Controller::enqueue(Addr addr, bool is_write, std::uint64_t tag,
   return true;
 }
 
-bool Controller::has_queued_write_to_line(Addr addr) const {
+bool Controller::has_queued_write_to_line(Addr addr, unsigned bank) const {
   // Same line => same bank FIFO (the invariant enqueue() relies on for
-  // merge/forward scans), so one FIFO scan decides.
-  const unsigned flat = map_addr(addr).flat_bank(geometry_);
+  // merge/forward scans), so one FIFO scan decides. map_addr() maps the
+  // logical flat bank through the same permutation.
+  const unsigned flat = remap_active_ ? remap_[bank] : bank;
   for (const auto& w : queues_[1][flat].q)
     if (line_base(w.addr) == line_base(addr)) return true;
   return false;

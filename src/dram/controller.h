@@ -205,9 +205,16 @@ class Controller {
   Cycle inflight_read_finish() const { return inflight_min_finish_; }
   /// Read entries sitting in the request queues (not yet issued).
   std::size_t queued_reads() const { return q_size_[0]; }
+  /// Flat bank of `addr` before the thermal remap permutation. A pure
+  /// function of the address, so callers may cache it across remaps.
+  unsigned logical_bank(Addr addr) const {
+    return mapping_.decode(addr).flat_bank(geometry_);
+  }
   /// True when a queued write covers `addr`'s line — the predicate
   /// enqueue() applies when it forwards an arriving read from write data.
-  bool has_queued_write_to_line(Addr addr) const;
+  /// `bank` is logical_bank(addr); the current permutation is applied
+  /// here, so no address is decoded.
+  bool has_queued_write_to_line(Addr addr, unsigned bank) const;
 
   /// Installs (or clears, with nullptr) the command-stream tap.
   void set_command_observer(CommandObserver* obs) { observer_ = obs; }

@@ -94,8 +94,11 @@ class DramSystem {
     return controller_.inflight_read_finish();
   }
   std::size_t queued_reads() const { return controller_.queued_reads(); }
-  bool has_queued_write_to_line(Addr addr) const {
-    return controller_.has_queued_write_to_line(addr);
+  unsigned logical_bank(Addr addr) const {
+    return controller_.logical_bank(addr);
+  }
+  bool has_queued_write_to_line(Addr addr, unsigned bank) const {
+    return controller_.has_queued_write_to_line(addr, bank);
   }
 
   /// True while a completion sits in the controller or the core-domain

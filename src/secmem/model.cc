@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace secddr::secmem {
 
@@ -16,7 +17,15 @@ SecurityEngine::SecurityEngine(const SecurityParams& params,
 void SecurityEngine::issue_dram(Addr addr, bool is_write, std::uint64_t tag) {
   // Preserve ordering: if anything is already queued, queue behind it.
   if (!issue_q_.empty() || !dram_.enqueue(addr, is_write, tag))
-    issue_q_.push_back({addr, is_write, tag});
+    defer({addr, is_write, tag});
+}
+
+void SecurityEngine::defer(PendingIssue p) {
+  if (!p.is_write) {
+    p.bank = dram_.logical_bank(p.addr);
+    ++deferred_reads_;
+  }
+  issue_q_.push_back(p);
 }
 
 void SecurityEngine::writeback_victim(const SetAssocCache::Result& victim) {
@@ -267,6 +276,7 @@ void SecurityEngine::tick(Cycle now) {
   while (!issue_q_.empty()) {
     const auto& p = issue_q_.front();
     if (!dram_.enqueue(p.addr, p.is_write, p.tag)) break;
+    if (!p.is_write) --deferred_reads_;
     issue_q_.pop_front();
   }
 
@@ -315,8 +325,10 @@ void SecurityEngine::tick_until(Cycle from, Cycle to) {
     // Window contract: the caller sized `to` with ready_bound(), so no
     // fill may surface before the final tick (the backend drains ready()
     // only at epoch boundaries; an early push would reorder fills).
-    assert((ready_.empty() || t == to) &&
-           "read became ready before the epoch horizon");
+    if (!ready_.empty() && t != to)
+      throw std::logic_error(
+          "SecurityEngine::tick_until: read became ready before the epoch "
+          "horizon");
   }
 }
 
@@ -327,42 +339,37 @@ Cycle SecurityEngine::ready_bound(Cycle now) const {
   const Cycle inflight = dram_.inflight_read_finish();
   if (inflight != kNoEvent)
     bound = now + dram_.core_cycles_until_mem(inflight);
-  bool deferred_read = false;
-  for (const auto& p : issue_q_)
-    if (!p.is_write) {
-      deferred_read = true;
-      break;
-    }
-  if (dram_.queued_reads() > 0 || deferred_read) {
-    // A queued read issues no earlier than the current memory cycle and
-    // its data arrives tCL later at best (bursts only push it out); a
-    // deferred read enqueues at the next tick at the earliest, with the
-    // same floor — unless write data can forward it, which completes at
-    // enqueue and surfaces one tick later (>= now + 2: enqueue happens
-    // inside tick now+1 at the earliest).
-    bool forward = false;
-    for (const auto& p : issue_q_) {
-      if (p.is_write) continue;
-      if (dram_.has_queued_write_to_line(p.addr)) {
-        forward = true;
-        break;
-      }
-      // A deferred write ahead of the read lands in the queue first and
-      // then forwards it (same line, FIFO retry order).
-      for (const auto& w : issue_q_) {
-        if (&w == &p) break;
-        if (w.is_write && line_base(w.addr) == line_base(p.addr)) {
-          forward = true;
-          break;
-        }
-      }
-      if (forward) break;
-    }
-    const Cycle column = now + dram_.core_cycles_until_mem(
-                                   dram_.memory_cycle() + dram_.timings().tCL);
-    bound = std::min(bound, forward ? std::min(column, now + 2) : column);
-  }
+  if (dram_.queued_reads() == 0 && deferred_reads_ == 0) return bound;
+  // A queued read issues no earlier than the current memory cycle and
+  // its data arrives tCL later at best (bursts only push it out); a
+  // deferred read enqueues at the next tick at the earliest, with the
+  // same floor — unless write data can forward it, which completes at
+  // enqueue and surfaces one tick later (>= now + 2: enqueue happens
+  // inside tick now+1 at the earliest). Forwarding can only lower a
+  // bound that lies beyond now + 2, so the scan runs only then.
+  const Cycle column = now + dram_.core_cycles_until_mem(
+                                 dram_.memory_cycle() + dram_.timings().tCL);
+  bound = std::min(bound, column);
+  if (deferred_reads_ > 0 && bound > now + 2 && deferred_read_forwards())
+    bound = now + 2;
   return bound;
+}
+
+bool SecurityEngine::deferred_read_forwards() const {
+  write_lines_.clear();
+  std::size_t reads_left = deferred_reads_;
+  for (const PendingIssue& p : issue_q_) {
+    if (p.is_write) {
+      write_lines_.push_back(line_base(p.addr));
+      continue;
+    }
+    if (dram_.has_queued_write_to_line(p.addr, p.bank)) return true;
+    const Addr line = line_base(p.addr);
+    for (const Addr w : write_lines_)
+      if (w == line) return true;
+    if (--reads_left == 0) break;  // only writes remain behind this read
+  }
+  return false;
 }
 
 void SecurityEngine::save(serial::Sink& s) const {
@@ -467,13 +474,14 @@ void SecurityEngine::load(serial::Source& s) {
   }
 
   issue_q_.clear();
+  deferred_reads_ = 0;
   const std::size_t nissue = s.count(17);
   for (std::size_t i = 0; i < nissue; ++i) {
     PendingIssue p;
     p.addr = s.u64();
     p.is_write = s.b();
     p.tag = s.u64();
-    issue_q_.push_back(p);
+    defer(p);
   }
   ready_.clear();
   const std::size_t nready = s.count(16);

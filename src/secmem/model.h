@@ -102,6 +102,8 @@ class SecurityEngine {
   /// (provable no-op spans advance only the clocks). The caller promises
   /// no start_read/start_write lands inside the window and drains
   /// ready() afterwards; ready_bound() is how it sizes such a window.
+  /// Throws std::logic_error if a read becomes ready before `to` (a
+  /// window past the bound would reorder fills).
   void tick_until(Cycle from, Cycle to);
 
   /// Earliest core cycle (> now) at which a future tick could push into
@@ -117,6 +119,15 @@ class SecurityEngine {
   /// kNoEvent when no read exists anywhere in the pipeline. Metadata
   /// chains (arrival -> writeback -> forward) cannot beat these bounds:
   /// an arrival at cycle t only issues new DRAM traffic at t >= bound.
+  ///
+  /// Cost: O(1) unless a deferred read exists and the in-flight and
+  /// column bounds both lie beyond now + 2 — the only case where write
+  /// forwarding can lower the result. Only then does one in-order pass
+  /// over the deferred-issue queue look for a forwardable read: O(deferred
+  /// reads) bank-FIFO scans, no address decode, plus a check against the
+  /// deferred writes ahead of each read. The deferred-read count and each
+  /// deferred read's logical bank are derived state: not serialized,
+  /// rebuilt by load().
   Cycle ready_bound(Cycle now) const;
 
   /// Ready reads since the last drain (caller clears).
@@ -181,6 +192,10 @@ class SecurityEngine {
   }
 
   void issue_dram(Addr addr, bool is_write, std::uint64_t tag);
+  /// True when some deferred read will be served by write forwarding:
+  /// its line is in the DRAM write queue, or a deferred write to its line
+  /// is queued ahead of it (FIFO retry order lands the write first).
+  bool deferred_read_forwards() const;
   void request_meta_line(Txn& txn, std::uint64_t txn_id, Addr line, Role role,
                          Cycle now);
   void gather_read_needs(Txn& txn, std::uint64_t txn_id, Cycle now);
@@ -205,8 +220,18 @@ class SecurityEngine {
     Addr addr;
     bool is_write;
     std::uint64_t tag;
+    /// Reads only: DramSystem::logical_bank(addr), cached so ready_bound
+    /// never decodes. Logical, not physical: the remap policy can move
+    /// the physical bank while the read waits.
+    unsigned bank = 0;
   };
+  /// Appends to issue_q_, filling the derived fields.
+  void defer(PendingIssue p);
+
   std::deque<PendingIssue> issue_q_;
+  std::size_t deferred_reads_ = 0;  ///< reads in issue_q_
+  /// deferred_read_forwards() scratch: deferred write lines seen so far.
+  mutable std::vector<Addr> write_lines_;
 
   std::vector<ReadReady> ready_;
   EngineStats stats_;

@@ -2,19 +2,35 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace secddr::sim {
 
+namespace {
+
+// Runs before the channel selector is built: it derives its bit layout
+// from the channel count.
+const dram::Geometry& checked_geometry(const dram::Geometry& g) {
+  if (g.channels < 1)
+    throw std::invalid_argument(
+        "MemoryBackend: geometry.channels must be >= 1");
+  return g;
+}
+
+}  // namespace
+
 MemoryBackend::MemoryBackend(const BackendConfig& config)
-    : selector_(config.geometry), event_driven_(config.event_driven) {
+    : selector_(checked_geometry(config.geometry)),
+      event_driven_(config.event_driven) {
   const unsigned n = config.geometry.channels;
-  assert(n >= 1);
   // Each channel's local data slice must be dense: the selector removes
   // the channel bits, so the data region has to be a whole number of
   // interleave stripes per channel.
-  [[maybe_unused]] const std::uint64_t stripe = Addr{1} << selector_.shift();
-  assert(config.data_bytes % (static_cast<std::uint64_t>(n) * stripe) == 0 &&
-         "data_bytes must be a multiple of channels * interleave stripe");
+  const std::uint64_t stripe = Addr{1} << selector_.shift();
+  if (config.data_bytes % (static_cast<std::uint64_t>(n) * stripe) != 0)
+    throw std::invalid_argument(
+        "MemoryBackend: data_bytes must be a multiple of channels * "
+        "interleave stripe");
   const std::uint64_t local_data = config.data_bytes / n;
 
   // Apply the eWCRC write-burst extension where the config requires it —
@@ -27,9 +43,10 @@ MemoryBackend::MemoryBackend(const BackendConfig& config)
     Channel ch;
     ch.layout =
         std::make_unique<secmem::MetadataLayout>(config.security, local_data);
-    assert(ch.layout->end_of_memory() <=
-               config.geometry.channel_capacity_bytes() &&
-           "per-channel data slice + metadata must fit in the channel");
+    if (ch.layout->end_of_memory() > config.geometry.channel_capacity_bytes())
+      throw std::invalid_argument(
+          "MemoryBackend: per-channel data slice + metadata must fit in the "
+          "channel");
     ch.dram = std::make_unique<dram::DramSystem>(
         config.geometry, timings, config.core_mhz, config.scheduling,
         config.power);

@@ -49,6 +49,10 @@ struct BackendConfig {
 /// See file comment.
 class MemoryBackend {
  public:
+  /// Throws std::invalid_argument when geometry.channels is 0, when
+  /// data_bytes is not a whole number of interleave stripes per channel,
+  /// or when a channel's data slice plus its metadata exceeds the
+  /// channel's capacity.
   explicit MemoryBackend(const BackendConfig& config);
   MemoryBackend(const MemoryBackend&) = delete;
   MemoryBackend& operator=(const MemoryBackend&) = delete;

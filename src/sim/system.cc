@@ -1,14 +1,15 @@
 #include "sim/system.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace secddr::sim {
 
 System::System(const SystemConfig& config, std::vector<TraceSource*> traces)
     : config_(config) {
-  assert(traces.size() == config.mem.cores);
+  if (traces.size() != config.mem.cores)
+    throw std::invalid_argument(
+        "System: need exactly one trace per core (SystemConfig::mem.cores)");
   if (config.mem_threads != 1)
     throw std::invalid_argument(
         "SystemConfig::mem_threads must be 1 (the memory backend is serial)");

@@ -79,7 +79,9 @@ struct RunResult {
 class System {
  public:
   /// `traces` supplies one trace per core (config.mem.cores entries).
-  /// Throws std::invalid_argument when config.mem_threads != 1.
+  /// Throws std::invalid_argument when the trace count differs from
+  /// config.mem.cores, when config.mem_threads != 1, or when MemoryBackend
+  /// rejects the memory configuration.
   System(const SystemConfig& config,
          std::vector<TraceSource*> traces);
 

@@ -15,7 +15,8 @@
 //    are bit-identical across loop modes, thread counts, and channel
 //    counts);
 //  * throttle engagement and remap swaps actually occur under the
-//    configurations that should produce them, without losing requests;
+//    configurations that should produce them, without losing requests,
+//    and the write-forward predicate follows the remapped banks;
 //  * controller save/load round-trips the power block (remap table,
 //    window counts, thermal state, throttle engagement) mid-run.
 #include <gtest/gtest.h>
@@ -385,6 +386,28 @@ TEST(PowerController, RemapSwapsBanksUnderSkewedTraffic) {
   ASSERT_EQ(rep.ranks.size(), 2u);
   EXPECT_GT(rep.ranks[0].peak_mc, power.thermal.ambient_mc)
       << "rank 0 never heated";
+
+  // The write-forward predicate takes the logical bank and must follow
+  // the swapped permutation: one queued write per logical bank, so a
+  // lookup in the unmapped FIFO of a swapped bank finds another line.
+  std::vector<dram::DecodedAddr> coords;
+  for (unsigned flat = 0; flat < g.total_banks(); ++flat) {
+    dram::DecodedAddr d;
+    d.rank = flat / g.banks_per_rank();
+    d.bank_group = (flat % g.banks_per_rank()) / g.banks_per_group;
+    d.bank = flat % g.banks_per_group;
+    const Addr a = c.mapping().encode(d);
+    ASSERT_EQ(c.logical_bank(a), flat);
+    ASSERT_TRUE(c.enqueue(a, true, ++tag, now));
+    coords.push_back(d);
+  }
+  for (dram::DecodedAddr d : coords) {
+    const Addr a = c.mapping().encode(d);
+    EXPECT_TRUE(c.has_queued_write_to_line(a, c.logical_bank(a))) << a;
+    d.row = 1;  // same bank, no queued write
+    const Addr b = c.mapping().encode(d);
+    EXPECT_FALSE(c.has_queued_write_to_line(b, c.logical_bank(b))) << b;
+  }
 }
 
 TEST(PowerController, SaveLoadRoundTripsPowerStateMidRun) {

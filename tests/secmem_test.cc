@@ -2,6 +2,8 @@
 // per-configuration traffic/latency semantics of the SecurityEngine.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dram/system.h"
 #include "secmem/layout.h"
 #include "secmem/metadata_cache.h"
@@ -413,6 +415,21 @@ TEST(EngineReadyBound, SaveLoadWithDeferredReadsKeepsBoundAndBytes) {
     EXPECT_EQ(restored.engine.ready_bound(donor.now), bound) << in_write_queue;
     EXPECT_EQ(save(restored), bytes) << in_write_queue;
   }
+}
+
+TEST(Engine, TickUntilPastReadyBoundThrows) {
+  // The epoch-window contract holds in every build: a window sized past
+  // ready_bound() lets a fill surface early, which must not pass silently.
+  Rig rig(SecurityParams::encrypt_only_xts());
+  rig.engine.start_read(0x1000, 1, rig.now);
+  while (rig.dram.inflight_read_finish() == kNoEvent) {
+    ++rig.now;
+    rig.dram.tick_core_cycle();
+    rig.engine.tick(rig.now);
+  }
+  const Cycle bound = rig.engine.ready_bound(rig.now);
+  ASSERT_NE(bound, kNoEvent);
+  EXPECT_THROW(rig.engine.tick_until(rig.now, bound + 1000), std::logic_error);
 }
 
 TEST(Engine, SharedFetchesAreDeduplicated) {

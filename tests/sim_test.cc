@@ -340,5 +340,43 @@ TEST(System, RejectsMemThreadsOtherThanOne) {
   EXPECT_NO_THROW(System(cfg, {&t0, &t1}));
 }
 
+TEST(System, RejectsTraceCountOtherThanCores) {
+  auto desc = *workloads::find("gcc");
+  workloads::SyntheticTrace t0(desc, 0), t1(desc, 1), t2(desc, 2);
+  const auto cfg = small_system(secmem::SecurityParams::secddr_ctr());
+  ASSERT_EQ(cfg.mem.cores, 2u);
+  EXPECT_THROW(System(cfg, {&t0}), std::invalid_argument);
+  EXPECT_THROW(System(cfg, {&t0, &t1, &t2}), std::invalid_argument);
+  EXPECT_NO_THROW(System(cfg, {&t0, &t1}));
+}
+
+TEST(System, RejectsZeroChannels) {
+  auto desc = *workloads::find("gcc");
+  workloads::SyntheticTrace t0(desc, 0), t1(desc, 1);
+  auto cfg = small_system(secmem::SecurityParams::secddr_ctr());
+  cfg.geometry.channels = 0;
+  EXPECT_THROW(System(cfg, {&t0, &t1}), std::invalid_argument);
+}
+
+TEST(System, RejectsDataBytesNotWholeStripesPerChannel) {
+  auto desc = *workloads::find("gcc");
+  workloads::SyntheticTrace t0(desc, 0), t1(desc, 1);
+  auto cfg = small_system(secmem::SecurityParams::secddr_ctr());
+  cfg.geometry.channels = 2;
+  cfg.data_bytes += kLineSize;  // one line left over for one channel
+  EXPECT_THROW(System(cfg, {&t0, &t1}), std::invalid_argument);
+  cfg.data_bytes += kLineSize;  // one more line each
+  EXPECT_NO_THROW(System(cfg, {&t0, &t1}));
+}
+
+TEST(System, RejectsDataPlusMetadataBeyondChannelCapacity) {
+  auto desc = *workloads::find("gcc");
+  workloads::SyntheticTrace t0(desc, 0), t1(desc, 1);
+  auto cfg = small_system(secmem::SecurityParams::baseline_tree_ctr());
+  // The whole channel as data leaves no room for counters and tree nodes.
+  cfg.data_bytes = cfg.geometry.channel_capacity_bytes();
+  EXPECT_THROW(System(cfg, {&t0, &t1}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace secddr::sim
