@@ -10,8 +10,10 @@
 //    a FRESH System (freshly positioned traces), run both to completion
 //    — the RunResults must be byte-identical to each other and to an
 //    uninterrupted run, across channel counts x both loop modes;
-//  * byte stability: a golden FNV-1a hash pins the System::save payload
-//    of a mid-run 2-channel System.
+//  * byte stability: golden FNV-1a hashes pin the System::save payload
+//    of a mid-run 2-channel System (power off; and tree64 with both
+//    thermal policies engaged), the RunResult codec of a finished
+//    power-on run, and config_hash().
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -560,6 +562,104 @@ TEST(FleetSystemCheckpoint, MidRunPayloadMatchesGolden) {
     EXPECT_EQ(payload.size(), g.bytes);
     EXPECT_EQ(h, g.fnv);
   }
+}
+
+// FNV-1a 64 over a byte string: the hash the byte-stability goldens pin.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::vector<std::uint8_t> save_payload(const sim::System& sys) {
+  serial::Sink s;
+  sys.save(s);
+  return s.take();
+}
+
+// Power accounting with both thermal policies tuned to act inside a short
+// run: the checkpoint carries the power block, throttle engagement and a
+// non-identity remap table.
+dram::PowerConfig engaged_power() {
+  dram::PowerConfig power;
+  power.enabled = true;
+  power.window_cycles = 256;
+  power.thermal.c_nj_per_k = 500;
+  power.throttle = true;
+  power.trip_mc = 46'500;
+  power.release_mc = 46'200;
+  power.remap = true;
+  power.remap_delta_mc = 100;
+  power.remap_min_windows = 2;
+  return power;
+}
+
+sim::SystemConfig engaged_tree64_config(bool event_driven) {
+  sim::SystemConfig cfg = small_config(2, event_driven);
+  cfg.security = secmem::SecurityParams::baseline_tree_ctr(64);
+  cfg.power = engaged_power();
+  return cfg;
+}
+
+// Byte-stability spec for the payload parts the default-config golden
+// never reaches: the controller power block, the remap table, and tree64
+// transactions with tree-node fetches in flight.
+TEST(FleetSystemCheckpoint, PowerRemapTree64PayloadMatchesGolden) {
+  const auto* desc = workloads::find("mcf");
+  ASSERT_NE(desc, nullptr);
+  struct Golden {
+    bool event_driven;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  for (const Golden& g : {Golden{false, 1191139, 0xfd29e1e801348f06ull},
+                          Golden{true, 1191139, 0xbe5df987c9ca91a4ull}}) {
+    SCOPED_TRACE("event_driven=" + std::to_string(g.event_driven));
+    LiveSystem live = make_system(*desc, engaged_tree64_config(g.event_driven));
+    live.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+    ASSERT_TRUE(live.sys->step(3000));  // inside the warmup phase
+    const std::vector<std::uint8_t> payload = save_payload(*live.sys);
+    EXPECT_EQ(payload.size(), g.bytes);
+    EXPECT_EQ(fnv1a(payload), g.fnv);
+
+    // The policies really acted before the checkpoint.
+    std::uint64_t throttled = 0, swaps = 0;
+    for (unsigned ch = 0; ch < 2; ++ch) {
+      const dram::PowerReport rep = live.sys->backend().dram(ch).power_report();
+      throttled += rep.throttled_windows;
+      swaps += rep.remap_swaps;
+    }
+    EXPECT_GT(throttled, 0u);
+    EXPECT_GT(swaps, 0u);
+  }
+}
+
+// Byte-stability spec for the RunResult codec: a finished 2-channel
+// power-on run covers PowerReport and every per-channel stats list.
+TEST(FleetSystemCheckpoint, FinishedPowerRunResultMatchesGolden) {
+  const auto* desc = workloads::find("mcf");
+  ASSERT_NE(desc, nullptr);
+  LiveSystem live = make_system(*desc, engaged_tree64_config(true));
+  const std::vector<std::uint8_t> bytes = ck::encode_result(
+      live.sys->run(1200, 2'000'000'000, /*warmup=*/400));
+  EXPECT_EQ(bytes.size(), 1019u);
+  EXPECT_EQ(fnv1a(bytes), 0xef40005d6468f3a9ull);
+}
+
+// config_hash() keeps its own field list; pin it so that list cannot
+// drift silently.
+TEST(FleetSystemCheckpoint, ConfigHashMatchesGolden) {
+  const auto* desc = workloads::find("mcf");
+  ASSERT_NE(desc, nullptr);
+  EXPECT_EQ(make_system(*desc, sim::SystemConfig{}).sys->config_hash(),
+            0x6ffb956be1ed62d8ull);
+  sim::SystemConfig power;
+  power.power = engaged_power();
+  EXPECT_EQ(make_system(*desc, power).sys->config_hash(),
+            0x2025206566fb4232ull);
 }
 
 TEST(FleetSystemCheckpoint, TruncatedSystemPayloadReportsOffset) {
