@@ -1,6 +1,8 @@
 #include "sim/memory_system.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace secddr::sim {
 
@@ -301,12 +303,21 @@ void MemorySystem::save(serial::Sink& s, const FlagEncoder& encode_flag) const {
   // Drain a copy of the priority queue: among equal maturity times the
   // pop order only decides which independent flag is raised first within
   // the same tick, so any heap-internal order is behaviorally identical.
+  // The entries are written sorted by (cycle, token), though: a restored
+  // heap has its own internal layout, and emitting it in pop order would
+  // let save -> load -> save reorder equal-cycle entries.
   auto q = done_q_;
-  s.u64(q.size());
+  std::vector<std::pair<Cycle, std::uint64_t>> done;
+  done.reserve(q.size());
   while (!q.empty()) {
-    s.u64(q.top().at);
-    s.u64(encode_flag(q.top().flag));
+    done.emplace_back(q.top().at, encode_flag(q.top().flag));
     q.pop();
+  }
+  std::sort(done.begin(), done.end());
+  s.u64(done.size());
+  for (const auto& [at, token] : done) {
+    s.u64(at);
+    s.u64(token);
   }
 
   s.u64(now_);

@@ -13,7 +13,8 @@
 //  * byte stability: golden FNV-1a hashes pin the System::save payload
 //    of a mid-run 2-channel System (power off; and tree64 with both
 //    thermal policies engaged), the RunResult codec of a finished
-//    power-on run, and config_hash().
+//    power-on run, and config_hash(); save -> load -> save must
+//    reproduce a payload byte for byte.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -647,6 +648,44 @@ TEST(FleetSystemCheckpoint, FinishedPowerRunResultMatchesGolden) {
       live.sys->run(1200, 2'000'000'000, /*warmup=*/400));
   EXPECT_EQ(bytes.size(), 1019u);
   EXPECT_EQ(fnv1a(bytes), 0xef40005d6468f3a9ull);
+}
+
+// save -> load into a fresh System -> save reproduces the payload byte for
+// byte, for every engine flavour with the power block off and on.
+TEST(FleetSystemCheckpoint, SaveLoadSaveIsByteIdentical) {
+  const auto* desc = workloads::find("mcf");
+  ASSERT_NE(desc, nullptr);
+  struct Flavour {
+    const char* name;
+    secmem::SecurityParams security;
+  };
+  for (const Flavour& f :
+       {Flavour{"secddr_ctr", secmem::SecurityParams::secddr_ctr()},
+        Flavour{"secddr_xts", secmem::SecurityParams::secddr_xts()},
+        Flavour{"tree64", secmem::SecurityParams::baseline_tree_ctr(64)}}) {
+    for (const bool power : {false, true}) {
+      SCOPED_TRACE(std::string(f.name) + "/power=" + std::to_string(power));
+      sim::SystemConfig cfg = small_config(2, /*event_driven=*/true);
+      cfg.security = f.security;
+      if (power) cfg.power = engaged_power();
+
+      LiveSystem a = make_system(*desc, cfg);
+      a.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      // Checkpoints inside warmup, exactly at the warmup->measured cut
+      // (step() returns there early), and inside the measured phase.
+      for (const Cycle budget : {Cycle{1500}, kNoEvent, Cycle{1000}}) {
+        ASSERT_TRUE(a.sys->step(budget));
+        const std::vector<std::uint8_t> first = save_payload(*a.sys);
+
+        LiveSystem b = make_system(*desc, cfg);
+        b.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+        serial::Source src(first);
+        b.sys->load(src);
+        EXPECT_TRUE(src.done());
+        EXPECT_EQ(save_payload(*b.sys), first);
+      }
+    }
+  }
 }
 
 // config_hash() keeps its own field list; pin it so that list cannot
