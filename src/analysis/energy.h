@@ -37,6 +37,15 @@ struct CommandCounts {
   std::uint64_t wr = 0;
   std::uint64_t ref = 0;
 
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(act);
+    ar.u64(pre);
+    ar.u64(rd);
+    ar.u64(wr);
+    ar.u64(ref);
+  }
+
   CommandCounts& operator+=(const CommandCounts& o) {
     act += o.act;
     pre += o.pre;
@@ -60,6 +69,16 @@ struct EnergyBreakdown {
     return act_fj + pre_fj + rd_fj + wr_fj + ref_fj + background_fj;
   }
   std::uint64_t dynamic_fj() const { return total_fj() - background_fj; }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(act_fj);
+    ar.u64(pre_fj);
+    ar.u64(rd_fj);
+    ar.u64(wr_fj);
+    ar.u64(ref_fj);
+    ar.u64(background_fj);
+  }
 
   EnergyBreakdown& operator+=(const EnergyBreakdown& o) {
     act_fj += o.act_fj;

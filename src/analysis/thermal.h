@@ -58,11 +58,12 @@ class ThermalNode {
 
   void reset_peak() { peak_q16_ = t_q16_; }
 
-  /// Restore serialized mutable state (derived constants come from the
-  /// config the owner reconstructs the node with).
-  void set_state(std::int64_t t_q16, std::int64_t peak_q16) {
-    t_q16_ = t_q16;
-    peak_q16_ = peak_q16;
+  /// Checkpoint fields: the mutable state only (derived constants come
+  /// from the config the owner reconstructs the node with).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.i64(t_q16_);
+    ar.i64(peak_q16_);
   }
 
   std::uint64_t alpha_q30() const { return alpha_q30_; }

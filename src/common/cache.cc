@@ -121,32 +121,24 @@ void SetAssocCache::flush_all() {
   std::fill(dirty_.begin(), dirty_.end(), 0u);
 }
 
-void SetAssocCache::save(serial::Sink& s) const {
-  s.u64(sets_count_);
-  s.u32(assoc_);
-  s.array(tags_);
-  s.array(lru_);
-  s.array(valid_);
-  s.array(dirty_);
-  s.u64(lru_clock_);
-  s.u64(stats_.accesses);
-  s.u64(stats_.misses);
-  s.u64(stats_.evictions);
-  s.u64(stats_.dirty_evictions);
+template <class Ar>
+void SetAssocCache::fields(Ar& ar) {
+  ar.fixed_u64(sets_count_, "cache geometry mismatch");
+  ar.fixed_u32(assoc_, "cache geometry mismatch");
+  ar.array(tags_);
+  ar.array(lru_);
+  ar.array(valid_);
+  ar.array(dirty_);
+  ar.u64(lru_clock_);
+  ar.u64(stats_.accesses);
+  ar.u64(stats_.misses);
+  ar.u64(stats_.evictions);
+  ar.u64(stats_.dirty_evictions);
 }
 
-void SetAssocCache::load(serial::Source& s) {
-  if (s.u64() != sets_count_ || s.u32() != assoc_)
-    throw std::runtime_error("cache geometry mismatch");
-  for (std::uint64_t& t : tags_) t = s.u64();
-  for (std::uint64_t& l : lru_) l = s.u64();
-  for (std::uint32_t& v : valid_) v = s.u32();
-  for (std::uint32_t& d : dirty_) d = s.u32();
-  lru_clock_ = s.u64();
-  stats_.accesses = s.u64();
-  stats_.misses = s.u64();
-  stats_.evictions = s.u64();
-  stats_.dirty_evictions = s.u64();
+void SetAssocCache::save(serial::Sink& s) const {
+  const_cast<SetAssocCache&>(*this).fields(s);
 }
+void SetAssocCache::load(serial::Source& s) { fields(s); }
 
 }  // namespace secddr

@@ -88,6 +88,8 @@ class SetAssocCache {
     return -1;
   }
   Result fill(Addr addr, bool dirty);
+  template <class Ar>
+  void fields(Ar& ar);
 
   std::uint64_t sets_count_;
   unsigned assoc_;

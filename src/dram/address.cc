@@ -1,6 +1,6 @@
 #include "dram/address.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "common/bitops.h"
 
@@ -8,8 +8,9 @@ namespace secddr::dram {
 
 ChannelSelector::ChannelSelector(const Geometry& geometry)
     : channels_(geometry.channels) {
-  assert(channels_ >= 1 && is_pow2(channels_));
-  assert(is_pow2(geometry.columns_per_row));
+  if (!is_pow2(channels_) || !is_pow2(geometry.columns_per_row))
+    throw std::invalid_argument(
+        "ChannelSelector: channels and columns_per_row must be powers of two");
   ch_bits_ = ilog2(channels_);
   shift_ = kLineBits;
   if (geometry.channel_interleave == ChannelInterleave::kRow)
@@ -18,11 +19,11 @@ ChannelSelector::ChannelSelector(const Geometry& geometry)
 
 AddressMapping::AddressMapping(const Geometry& geometry, bool xor_banks)
     : geometry_(geometry), xor_banks_(xor_banks) {
-  assert(is_pow2(geometry.columns_per_row));
-  assert(is_pow2(geometry.bank_groups));
-  assert(is_pow2(geometry.banks_per_group));
-  assert(is_pow2(geometry.ranks));
-  assert(is_pow2(geometry.rows_per_bank));
+  if (!is_pow2(geometry.columns_per_row) || !is_pow2(geometry.bank_groups) ||
+      !is_pow2(geometry.banks_per_group) || !is_pow2(geometry.ranks) ||
+      !is_pow2(geometry.rows_per_bank))
+    throw std::invalid_argument(
+        "AddressMapping: every geometry dimension must be a power of two");
   col_bits_ = ilog2(geometry.columns_per_row);
   bg_bits_ = ilog2(geometry.bank_groups);
   bank_bits_ = ilog2(geometry.banks_per_group);

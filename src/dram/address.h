@@ -34,6 +34,8 @@ struct DecodedAddr {
 /// single-channel system (`channels == 1`) sees the identity mapping.
 class ChannelSelector {
  public:
+  /// Throws std::invalid_argument unless `channels` and
+  /// `columns_per_row` are powers of two.
   explicit ChannelSelector(const Geometry& geometry);
 
   unsigned channels() const { return channels_; }
@@ -67,6 +69,8 @@ class ChannelSelector {
 /// ChannelSelector removes the channel bits first).
 class AddressMapping {
  public:
+  /// Throws std::invalid_argument unless every per-channel dimension
+  /// (ranks, bank groups, banks, rows, columns) is a power of two.
   explicit AddressMapping(const Geometry& geometry, bool xor_banks = true);
 
   DecodedAddr decode(Addr byte_addr) const;

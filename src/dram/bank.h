@@ -48,6 +48,17 @@ struct Request {
   Cycle arrival;
   std::uint64_t seq;
   bool activated_for = false;  ///< an ACT was issued on this entry's behalf
+
+  /// Checkpoint fields. `d` is a pure function of the address (through
+  /// the remap table), so the controller re-decodes it on load.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(addr);
+    ar.u64(tag);
+    ar.u64(arrival);
+    ar.u64(seq);
+    ar.b(activated_for);
+  }
 };
 
 /// Per-(bank, direction) request FIFO. Entries stay in arrival order, so

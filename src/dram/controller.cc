@@ -864,268 +864,131 @@ PowerReport Controller::power_report(Cycle now) {
   return r;
 }
 
-namespace {
-
-void save_request(serial::Sink& s, const Request& e) {
-  // `d` is a pure function of the address; the loader re-decodes it.
-  s.u64(e.addr);
-  s.u64(e.tag);
-  s.u64(e.arrival);
-  s.u64(e.seq);
-  s.b(e.activated_for);
-}
-
-}  // namespace
-
-Request Controller::load_request(serial::Source& s) const {
-  Request e;
-  e.addr = s.u64();
-  // Re-decode through the (already restored) bank permutation, so `d`
-  // matches what enqueue() computed in the donor process.
-  e.d = map_addr(e.addr);
-  e.tag = s.u64();
-  e.arrival = s.u64();
-  e.seq = s.u64();
-  e.activated_for = s.b();
-  return e;
-}
-
-void Controller::save(serial::Sink& s) const {
-  // Power/thermal block first: load_request() re-decodes queued requests
-  // through the remap table, so the table must already be restored when
-  // the queues below are read back.
+template <class Ar>
+void Controller::fields(Ar& ar) {
   if (power_on_) {
-    s.u64(power_window_start_);
-    for (const analysis::CommandCounts& c : window_counts_) {
-      s.u64(c.act);
-      s.u64(c.pre);
-      s.u64(c.rd);
-      s.u64(c.wr);
-      s.u64(c.ref);
-    }
-    for (const std::uint64_t a : bank_activity_) s.u64(a);
+    ar.u64(power_window_start_);
+    for (analysis::CommandCounts& c : window_counts_) c.fields(ar);
+    ar.array(bank_activity_);
     for (unsigned r = 0; r < geometry_.ranks; ++r) {
-      s.i64(thermal_[r].temp_q16());
-      s.i64(thermal_[r].peak_q16());
-      s.u64(rank_energy_fj_[r]);
+      thermal_[r].fields(ar);
+      ar.u64(rank_energy_fj_[r]);
     }
-    s.u64(energy_total_.act_fj);
-    s.u64(energy_total_.pre_fj);
-    s.u64(energy_total_.rd_fj);
-    s.u64(energy_total_.wr_fj);
-    s.u64(energy_total_.ref_fj);
-    s.u64(energy_total_.background_fj);
-    s.u64(counts_total_.act);
-    s.u64(counts_total_.pre);
-    s.u64(counts_total_.rd);
-    s.u64(counts_total_.wr);
-    s.u64(counts_total_.ref);
-    s.u64(power_windows_);
-    s.u64(throttled_windows_);
-    s.u64(remap_swaps_);
-    s.u64(windows_since_swap_);
-    s.b(throttle_engaged_);
-    if (remap_active_)
-      for (const std::uint32_t p : remap_) s.u32(p);
+    energy_total_.fields(ar);
+    counts_total_.fields(ar);
+    ar.u64(power_windows_);
+    ar.u64(throttled_windows_);
+    ar.u64(remap_swaps_);
+    ar.u64(windows_since_swap_);
+    ar.b(throttle_engaged_);
+    if (remap_active_) ar.array(remap_);
   }
-  s.u64(banks_.size());
-  for (const Bank& b : banks_) {
-    s.i64(b.open_row);
-    s.u64(b.next_activate);
-    s.u64(b.next_read);
-    s.u64(b.next_write);
-    s.u64(b.next_precharge);
-  }
-  s.u64(ranks_.size());
-  for (const RankState& r : ranks_) {
-    s.u64(r.act_window.size());
-    for (const Cycle c : r.act_window) s.u64(c);
-    s.u64(r.last_act);
-    s.b(r.have_last_act);
-    s.u32(r.last_act_bg);
-    s.u64(r.next_refresh_due);
-    s.b(r.refresh_pending);
-  }
-  for (unsigned dir = 0; dir < 2; ++dir) {
-    for (const BankQueue& bq : queues_[dir]) {
-      s.u64(bq.q.size());
-      for (const Request& e : bq.q) save_request(s, e);
-      s.u32(bq.match_count);
-    }
-    s.u32(q_size_[dir]);
-  }
-  s.u64(next_seq_);
-  s.b(draining_writes_);
-  s.u64(inflight_reads_.size());
-  for (const InflightRead& fr : inflight_reads_) {
-    save_request(s, fr.entry);
-    s.u64(fr.finish);
-  }
-  s.u64(inflight_min_finish_);
-  s.u64(completions_.size());
-  for (const Completion& c : completions_) {
-    s.u64(c.tag);
-    s.u64(c.addr);
-    s.b(c.is_write);
-    s.u64(c.arrival);
-    s.u64(c.finish);
-  }
-  s.u64(bus_free_at_);
-  s.b(bus_last_was_write_);
-  s.u32(bus_last_rank_);
-  s.u64(last_col_cmd_);
-  s.b(have_last_col_);
-  s.u32(last_col_bg_);
-  s.u32(last_col_rank_);
-  s.u64(stats_.reads_enqueued);
-  s.u64(stats_.writes_enqueued);
-  s.u64(stats_.reads_completed);
-  s.u64(stats_.writes_completed);
-  s.u64(stats_.row_hits);
-  s.u64(stats_.row_misses);
-  s.u64(stats_.activates);
-  s.u64(stats_.precharges);
-  s.u64(stats_.refreshes);
-  s.u64(stats_.write_forwards);
-  s.u64(stats_.data_bus_busy_cycles);
-  s.u64(stats_.total_read_latency);
-  s.u64(scan_stats_.issue_scans);
-  s.u64(scan_stats_.entries_visited);
-  s.u64(scan_stats_.queue_depth_sum);
-  s.u64(scan_stats_.commands_issued);
-}
-
-void Controller::load(serial::Source& s) {
-  if (power_on_) {
-    power_window_start_ = s.u64();
-    for (analysis::CommandCounts& c : window_counts_) {
-      c.act = s.u64();
-      c.pre = s.u64();
-      c.rd = s.u64();
-      c.wr = s.u64();
-      c.ref = s.u64();
-    }
-    for (std::uint64_t& a : bank_activity_) a = s.u64();
-    for (unsigned r = 0; r < geometry_.ranks; ++r) {
-      const std::int64_t t_q16 = s.i64();
-      const std::int64_t peak_q16 = s.i64();
-      thermal_[r].set_state(t_q16, peak_q16);
-      rank_energy_fj_[r] = s.u64();
-    }
-    energy_total_.act_fj = s.u64();
-    energy_total_.pre_fj = s.u64();
-    energy_total_.rd_fj = s.u64();
-    energy_total_.wr_fj = s.u64();
-    energy_total_.ref_fj = s.u64();
-    energy_total_.background_fj = s.u64();
-    counts_total_.act = s.u64();
-    counts_total_.pre = s.u64();
-    counts_total_.rd = s.u64();
-    counts_total_.wr = s.u64();
-    counts_total_.ref = s.u64();
-    power_windows_ = s.u64();
-    throttled_windows_ = s.u64();
-    remap_swaps_ = s.u64();
-    windows_since_swap_ = s.u64();
-    throttle_engaged_ = s.b();
-    if (remap_active_) {
-      for (std::uint32_t& p : remap_) {
-        p = s.u32();
-        if (p >= geometry_.total_banks())
-          throw std::runtime_error("controller remap entry out of range");
-      }
-      for (unsigned i = 0; i < geometry_.total_banks(); ++i)
-        remap_inv_[remap_[i]] = i;
-    }
-  }
-  if (s.u64() != banks_.size())
-    throw std::runtime_error("controller bank count mismatch");
+  ar.fixed_u64(banks_.size(), "controller bank count mismatch");
   for (Bank& b : banks_) {
-    b.open_row = s.i64();
-    b.next_activate = s.u64();
-    b.next_read = s.u64();
-    b.next_write = s.u64();
-    b.next_precharge = s.u64();
+    ar.i64(b.open_row);
+    ar.u64(b.next_activate);
+    ar.u64(b.next_read);
+    ar.u64(b.next_write);
+    ar.u64(b.next_precharge);
   }
-  if (s.u64() != ranks_.size())
-    throw std::runtime_error("controller rank count mismatch");
+  ar.fixed_u64(ranks_.size(), "controller rank count mismatch");
   for (RankState& r : ranks_) {
-    r.act_window.clear();
-    const std::size_t acts = s.count(8);
-    for (std::size_t i = 0; i < acts; ++i) r.act_window.push_back(s.u64());
-    r.last_act = s.u64();
-    r.have_last_act = s.b();
-    r.last_act_bg = s.u32();
-    r.next_refresh_due = s.u64();
-    r.refresh_pending = s.b();
+    ar.seq(r.act_window, 8, [&ar](Cycle& c) { ar.u64(c); });
+    ar.u64(r.last_act);
+    ar.b(r.have_last_act);
+    ar.u32(r.last_act_bg);
+    ar.u64(r.next_refresh_due);
+    ar.b(r.refresh_pending);
   }
   for (unsigned dir = 0; dir < 2; ++dir) {
     for (BankQueue& bq : queues_[dir]) {
-      bq.q.clear();
-      const std::size_t n = s.count(33);
-      for (std::size_t i = 0; i < n; ++i)
-        bq.q.push_back(load_request(s));
-      bq.match_count = s.u32();
+      ar.seq(bq.q, 33);
+      ar.u32(bq.match_count);
     }
-    q_size_[dir] = s.u32();
+    ar.u32(q_size_[dir]);
   }
-  next_seq_ = s.u64();
-  draining_writes_ = s.b();
-  inflight_reads_.clear();
-  const std::size_t inflight = s.count(41);
-  for (std::size_t i = 0; i < inflight; ++i) {
-    InflightRead fr;
-    fr.entry = load_request(s);
-    fr.finish = s.u64();
-    inflight_reads_.push_back(fr);
-  }
-  inflight_min_finish_ = s.u64();
-  completions_.clear();
-  const std::size_t comps = s.count(33);
-  for (std::size_t i = 0; i < comps; ++i) {
-    Completion c;
-    c.tag = s.u64();
-    c.addr = s.u64();
-    c.is_write = s.b();
-    c.arrival = s.u64();
-    c.finish = s.u64();
-    completions_.push_back(c);
-  }
-  bus_free_at_ = s.u64();
-  bus_last_was_write_ = s.b();
-  bus_last_rank_ = s.u32();
-  last_col_cmd_ = s.u64();
-  have_last_col_ = s.b();
-  last_col_bg_ = s.u32();
-  last_col_rank_ = s.u32();
-  stats_.reads_enqueued = s.u64();
-  stats_.writes_enqueued = s.u64();
-  stats_.reads_completed = s.u64();
-  stats_.writes_completed = s.u64();
-  stats_.row_hits = s.u64();
-  stats_.row_misses = s.u64();
-  stats_.activates = s.u64();
-  stats_.precharges = s.u64();
-  stats_.refreshes = s.u64();
-  stats_.write_forwards = s.u64();
-  stats_.data_bus_busy_cycles = s.u64();
-  stats_.total_read_latency = s.u64();
-  scan_stats_.issue_scans = s.u64();
-  scan_stats_.entries_visited = s.u64();
-  scan_stats_.queue_depth_sum = s.u64();
-  scan_stats_.commands_issued = s.u64();
+  ar.u64(next_seq_);
+  ar.b(draining_writes_);
+  ar.seq(inflight_reads_, 41, [&ar](InflightRead& fr) {
+    fr.entry.fields(ar);
+    ar.u64(fr.finish);
+  });
+  ar.u64(inflight_min_finish_);
+  ar.seq(completions_, 33);
+  ar.u64(bus_free_at_);
+  ar.b(bus_last_was_write_);
+  ar.u32(bus_last_rank_);
+  ar.u64(last_col_cmd_);
+  ar.b(have_last_col_);
+  ar.u32(last_col_bg_);
+  ar.u32(last_col_rank_);
+  stats_.fields(ar);
+  ar.u64(scan_stats_.issue_scans);
+  ar.u64(scan_stats_.entries_visited);
+  ar.u64(scan_stats_.queue_depth_sum);
+  ar.u64(scan_stats_.commands_issued);
+}
 
-  // Re-derive everything the serialized state determines: the candidate
-  // indexes (membership from FIFO + bank state; item order is
-  // behavior-neutral) and the next-event memo.
+void Controller::save(serial::Sink& s) const {
+  const_cast<Controller&>(*this).fields(s);
+}
+
+void Controller::load(serial::Source& s) {
+  fields(s);
+
+  // Re-derive what the payload determines, and reject a payload whose
+  // stored derived values disagree with their recomputation: the issue
+  // scans trust them (a row-hit count on a bank with no row hit would
+  // index its FIFO at -1).
   const unsigned total = geometry_.total_banks();
+  if (remap_active_) {
+    std::fill(remap_inv_.begin(), remap_inv_.end(), total);
+    for (unsigned i = 0; i < total; ++i) {
+      const std::uint32_t p = remap_[i];
+      if (p >= total)
+        throw std::runtime_error("controller remap entry out of range");
+      if (remap_inv_[p] != total)
+        throw std::runtime_error("controller remap is not a permutation");
+      remap_inv_[p] = i;
+    }
+  }
+  // Request::d is not serialized: re-decode through the restored bank
+  // permutation, so it matches what enqueue() computed in the donor. The
+  // candidate indexes are rebuilt from FIFO + bank state (item order is
+  // behavior-neutral), and the next-event memo is dropped.
   for (unsigned dir = 0; dir < 2; ++dir) {
     active_[dir].init(total);
     col_idx_[dir].init(total);
     pre_idx_[dir].init(total);
     for (auto& idx : closed_idx_[dir]) idx.init(total);
-    for (unsigned flat = 0; flat < total; ++flat) sync_indexes(dir, flat);
+    std::size_t queued = 0;
+    for (unsigned flat = 0; flat < total; ++flat) {
+      BankQueue& bq = queues_[dir][flat];
+      for (Request& e : bq.q) {
+        e.d = map_addr(e.addr);
+        if (e.d.flat_bank(geometry_) != flat)
+          throw std::runtime_error("controller request in the wrong bank");
+      }
+      queued += bq.q.size();
+      // match_count is meaningful only while the bank is open.
+      if (banks_[flat].is_open()) {
+        const unsigned stored = bq.match_count;
+        bq.recount(banks_[flat].open_row);
+        if (bq.match_count != stored)
+          throw std::runtime_error("controller row-hit count mismatch");
+      }
+      sync_indexes(dir, flat);
+    }
+    if (q_size_[dir] != queued || q_size_[dir] > (dir ? wq_size_ : rq_size_))
+      throw std::runtime_error("controller queue size mismatch");
   }
+  Cycle min_finish = kNoEvent;
+  for (InflightRead& fr : inflight_reads_) {
+    fr.entry.d = map_addr(fr.entry.addr);
+    min_finish = std::min(min_finish, fr.finish);
+  }
+  if (inflight_min_finish_ != min_finish)
+    throw std::runtime_error("controller in-flight finish mismatch");
   next_event_valid_ = false;
 }
 

@@ -37,6 +37,15 @@ struct Completion {
   bool is_write = false;
   Cycle arrival = 0;
   Cycle finish = 0;  ///< cycle the last data beat left the bus
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(tag);
+    ar.u64(addr);
+    ar.b(is_write);
+    ar.u64(arrival);
+    ar.u64(finish);
+  }
 };
 
 /// Controller statistics.
@@ -62,6 +71,22 @@ struct ControllerStats {
     return reads_completed ? static_cast<double>(total_read_latency) /
                                  static_cast<double>(reads_completed)
                            : 0.0;
+  }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(reads_enqueued);
+    ar.u64(writes_enqueued);
+    ar.u64(reads_completed);
+    ar.u64(writes_completed);
+    ar.u64(row_hits);
+    ar.u64(row_misses);
+    ar.u64(activates);
+    ar.u64(precharges);
+    ar.u64(refreshes);
+    ar.u64(write_forwards);
+    ar.u64(data_bus_busy_cycles);
+    ar.u64(total_read_latency);
   }
 
   /// Accumulates another channel's counters (multi-channel aggregation).
@@ -219,16 +244,14 @@ class Controller {
   /// Installs (or clears, with nullptr) the command-stream tap.
   void set_command_observer(CommandObserver* obs) { observer_ = obs; }
 
-  /// Checkpoint hooks: the full scheduler state (bank timing, rank
-  /// refresh/ACT windows, per-bank FIFOs, in-flight reads, undrained
-  /// completions, bus history, stats; when power accounting is enabled,
-  /// the power/thermal block — remap table, window counts, thermal nodes,
-  /// throttle state — is serialized first so queued requests re-decode
-  /// through the restored bank permutation). The candidate indexes are rebuilt
-  /// on load (their order is behavior-neutral: every selection is a
-  /// strict min over seq/bounds) and the next-event memo is invalidated;
-  /// `Request::d` is recomputed from the address mapping. load() throws
-  /// std::runtime_error on a geometry mismatch.
+  /// Checkpoint hooks: the full scheduler state (power/thermal block when
+  /// enabled, bank timing, rank windows, per-bank FIFOs, in-flight reads,
+  /// undrained completions, bus history, stats). load() re-decodes
+  /// `Request::d` through the restored remap table, rebuilds the
+  /// candidate indexes and drops the next-event memo. It throws
+  /// std::runtime_error on a geometry mismatch or when a stored derived
+  /// value (row-hit count, queue size, in-flight minimum, remap
+  /// permutation, a request's bank) disagrees with its recomputation.
   void save(serial::Sink& s) const;
   void load(serial::Source& s);
 
@@ -333,7 +356,8 @@ class Controller {
   /// idle bank of the coolest rank (window-close policy hook).
   void maybe_remap();
   void reset_power_stats();
-  Request load_request(serial::Source& s) const;
+  template <class Ar>
+  void fields(Ar& ar);
 
   Geometry geometry_;
   Timings timings_;

@@ -49,6 +49,13 @@ struct RankPowerReport {
   std::uint64_t energy_fj = 0;  ///< cumulative since last stats reset
   std::int64_t temp_mc = 0;     ///< current temperature
   std::int64_t peak_mc = 0;     ///< peak since last stats reset
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(energy_fj);
+    ar.i64(temp_mc);
+    ar.i64(peak_mc);
+  }
 };
 
 struct PowerReport {
@@ -59,6 +66,17 @@ struct PowerReport {
   std::uint64_t throttled_windows = 0;
   std::uint64_t remap_swaps = 0;
   std::vector<RankPowerReport> ranks;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.b(enabled);
+    energy.fields(ar);
+    counts.fields(ar);
+    ar.u64(windows);
+    ar.u64(throttled_windows);
+    ar.u64(remap_swaps);
+    ar.seq(ranks, 24);
+  }
 };
 
 }  // namespace secddr::dram

@@ -112,43 +112,21 @@ Cycle DramSystem::mem_to_core(Cycle mem_cycles) const {
                 (static_cast<double>(mem_khz_) / 1000.0)));
 }
 
-void DramSystem::save(serial::Sink& s) const {
-  controller_.save(s);
-  s.u32(gate_streak_);
-  s.u32(gate_burst_);
-  s.u32(gate_burst_len_);
-  s.u64(core_cycle_);
-  s.u64(mem_cycle_);
-  s.u64(accum_);
-  s.u64(out_.size());
-  for (const Completion& c : out_) {
-    s.u64(c.tag);
-    s.u64(c.addr);
-    s.b(c.is_write);
-    s.u64(c.arrival);
-    s.u64(c.finish);
-  }
+template <class Ar>
+void DramSystem::fields(Ar& ar) {
+  ar.nested(controller_);
+  ar.u32(gate_streak_);
+  ar.u32(gate_burst_);
+  ar.u32(gate_burst_len_);
+  ar.u64(core_cycle_);
+  ar.u64(mem_cycle_);
+  ar.u64(accum_);
+  ar.seq(out_, 33);
 }
 
-void DramSystem::load(serial::Source& s) {
-  controller_.load(s);
-  gate_streak_ = s.u32();
-  gate_burst_ = s.u32();
-  gate_burst_len_ = s.u32();
-  core_cycle_ = s.u64();
-  mem_cycle_ = s.u64();
-  accum_ = s.u64();
-  out_.clear();
-  const std::size_t n = s.count(33);
-  for (std::size_t i = 0; i < n; ++i) {
-    Completion c;
-    c.tag = s.u64();
-    c.addr = s.u64();
-    c.is_write = s.b();
-    c.arrival = s.u64();
-    c.finish = s.u64();
-    out_.push_back(c);
-  }
+void DramSystem::save(serial::Sink& s) const {
+  const_cast<DramSystem&>(*this).fields(s);
 }
+void DramSystem::load(serial::Source& s) { fields(s); }
 
 }  // namespace secddr::dram

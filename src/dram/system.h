@@ -110,6 +110,9 @@ class DramSystem {
   }
 
  private:
+  template <class Ar>
+  void fields(Ar& ar);
+
   Controller controller_;
   double core_clock_mhz_;
   bool event_driven_ = false;

@@ -257,10 +257,12 @@ std::vector<std::uint8_t> encode_system(const sim::System& sys) {
   return encode(sys.config_hash(), s.take());
 }
 
-void decode_system(sim::System& sys, const std::uint8_t* data, std::size_t n,
-                   const std::string& path) {
-  std::uint64_t hash = 0;
-  const std::vector<std::uint8_t> payload = decode(data, n, path, &hash);
+namespace {
+
+/// Restores a decoded payload into `sys`, rewrapping any load error with
+/// the payload offset it occurred at.
+void load_system(sim::System& sys, const std::vector<std::uint8_t>& payload,
+                 std::uint64_t hash, const std::string& path) {
   if (hash != sys.config_hash())
     throw CheckpointFormatError(path, 16,
                                 "checkpoint was produced by a different "
@@ -275,6 +277,15 @@ void decode_system(sim::System& sys, const std::uint8_t* data, std::size_t n,
   if (!src.done())
     throw CheckpointFormatError(path, kHeaderBytes + payload.size(),
                                 "trailing bytes in system state");
+}
+
+}  // namespace
+
+void decode_system(sim::System& sys, const std::uint8_t* data, std::size_t n,
+                   const std::string& path) {
+  std::uint64_t hash = 0;
+  const std::vector<std::uint8_t> payload = decode(data, n, path, &hash);
+  load_system(sys, payload, hash, path);
 }
 
 void save_system_file(const sim::System& sys, const std::string& path) {
@@ -286,211 +297,16 @@ void save_system_file(const sim::System& sys, const std::string& path) {
 void restore_system_file(sim::System& sys, const std::string& path) {
   std::uint64_t hash = 0;
   const std::vector<std::uint8_t> payload = read_file(path, &hash);
-  if (hash != sys.config_hash())
-    throw CheckpointFormatError(path, 16,
-                                "checkpoint was produced by a different "
-                                "simulation configuration");
-  serial::Source src(payload);
-  try {
-    sys.load(src);
-  } catch (const std::runtime_error& e) {
-    throw CheckpointFormatError(
-        path, kHeaderBytes + (payload.size() - src.remaining()), e.what());
-  }
-  if (!src.done())
-    throw CheckpointFormatError(path, kHeaderBytes + payload.size(),
-                                "trailing bytes in system state");
+  load_system(sys, payload, hash, path);
 }
-
-namespace {
-
-void save_core_stats(serial::Sink& s, const sim::CoreStats& c) {
-  s.u64(c.instructions);
-  s.u64(c.cycles);
-  s.u64(c.loads);
-  s.u64(c.stores);
-  s.u64(c.load_stall_cycles);
-}
-
-sim::CoreStats load_core_stats(serial::Source& s) {
-  sim::CoreStats c;
-  c.instructions = s.u64();
-  c.cycles = s.u64();
-  c.loads = s.u64();
-  c.stores = s.u64();
-  c.load_stall_cycles = s.u64();
-  return c;
-}
-
-void save_engine_stats(serial::Sink& s, const secmem::EngineStats& e) {
-  s.u64(e.data_reads);
-  s.u64(e.data_writes);
-  s.u64(e.counter_fetches);
-  s.u64(e.mac_line_fetches);
-  s.u64(e.tree_node_fetches);
-  s.u64(e.meta_writebacks);
-  s.u64(e.reads_with_tree_walk);
-}
-
-secmem::EngineStats load_engine_stats(serial::Source& s) {
-  secmem::EngineStats e;
-  e.data_reads = s.u64();
-  e.data_writes = s.u64();
-  e.counter_fetches = s.u64();
-  e.mac_line_fetches = s.u64();
-  e.tree_node_fetches = s.u64();
-  e.meta_writebacks = s.u64();
-  e.reads_with_tree_walk = s.u64();
-  return e;
-}
-
-void save_dram_stats(serial::Sink& s, const dram::ControllerStats& d) {
-  s.u64(d.reads_enqueued);
-  s.u64(d.writes_enqueued);
-  s.u64(d.reads_completed);
-  s.u64(d.writes_completed);
-  s.u64(d.row_hits);
-  s.u64(d.row_misses);
-  s.u64(d.activates);
-  s.u64(d.precharges);
-  s.u64(d.refreshes);
-  s.u64(d.write_forwards);
-  s.u64(d.data_bus_busy_cycles);
-  s.u64(d.total_read_latency);
-}
-
-dram::ControllerStats load_dram_stats(serial::Source& s) {
-  dram::ControllerStats d;
-  d.reads_enqueued = s.u64();
-  d.writes_enqueued = s.u64();
-  d.reads_completed = s.u64();
-  d.writes_completed = s.u64();
-  d.row_hits = s.u64();
-  d.row_misses = s.u64();
-  d.activates = s.u64();
-  d.precharges = s.u64();
-  d.refreshes = s.u64();
-  d.write_forwards = s.u64();
-  d.data_bus_busy_cycles = s.u64();
-  d.total_read_latency = s.u64();
-  return d;
-}
-
-void save_power_report(serial::Sink& s, const dram::PowerReport& p) {
-  s.b(p.enabled);
-  s.u64(p.energy.act_fj);
-  s.u64(p.energy.pre_fj);
-  s.u64(p.energy.rd_fj);
-  s.u64(p.energy.wr_fj);
-  s.u64(p.energy.ref_fj);
-  s.u64(p.energy.background_fj);
-  s.u64(p.counts.act);
-  s.u64(p.counts.pre);
-  s.u64(p.counts.rd);
-  s.u64(p.counts.wr);
-  s.u64(p.counts.ref);
-  s.u64(p.windows);
-  s.u64(p.throttled_windows);
-  s.u64(p.remap_swaps);
-  s.u64(p.ranks.size());
-  for (const dram::RankPowerReport& rk : p.ranks) {
-    s.u64(rk.energy_fj);
-    s.i64(rk.temp_mc);
-    s.i64(rk.peak_mc);
-  }
-}
-
-dram::PowerReport load_power_report(serial::Source& s) {
-  dram::PowerReport p;
-  p.enabled = s.b();
-  p.energy.act_fj = s.u64();
-  p.energy.pre_fj = s.u64();
-  p.energy.rd_fj = s.u64();
-  p.energy.wr_fj = s.u64();
-  p.energy.ref_fj = s.u64();
-  p.energy.background_fj = s.u64();
-  p.counts.act = s.u64();
-  p.counts.pre = s.u64();
-  p.counts.rd = s.u64();
-  p.counts.wr = s.u64();
-  p.counts.ref = s.u64();
-  p.windows = s.u64();
-  p.throttled_windows = s.u64();
-  p.remap_swaps = s.u64();
-  const std::size_t ranks = s.count(24);
-  for (std::size_t i = 0; i < ranks; ++i) {
-    dram::RankPowerReport rk;
-    rk.energy_fj = s.u64();
-    rk.temp_mc = s.i64();
-    rk.peak_mc = s.i64();
-    p.ranks.push_back(rk);
-  }
-  return p;
-}
-
-}  // namespace
 
 void save_result(serial::Sink& s, const sim::RunResult& r) {
-  s.u64(r.cores.size());
-  for (const sim::CoreStats& c : r.cores) save_core_stats(s, c);
-  s.u64(r.cycles);
-  s.f64(r.total_ipc);
-  s.f64(r.llc_mpki);
-  s.f64(r.metadata_miss_rate);
-  s.u64(r.metadata_accesses);
-  s.u64(r.mem.l1_accesses);
-  s.u64(r.mem.l1_misses);
-  s.u64(r.mem.llc_demand_accesses);
-  s.u64(r.mem.llc_demand_misses);
-  s.u64(r.mem.llc_writebacks);
-  s.u64(r.mem.prefetch_fills);
-  s.u64(r.mem.llc_demand_misses_per_core.size());
-  for (std::uint64_t v : r.mem.llc_demand_misses_per_core) s.u64(v);
-  save_engine_stats(s, r.engine);
-  save_dram_stats(s, r.dram);
-  s.u64(r.engine_per_channel.size());
-  for (const secmem::EngineStats& e : r.engine_per_channel)
-    save_engine_stats(s, e);
-  s.u64(r.dram_per_channel.size());
-  for (const dram::ControllerStats& d : r.dram_per_channel)
-    save_dram_stats(s, d);
-  s.u64(r.power_per_channel.size());
-  for (const dram::PowerReport& p : r.power_per_channel)
-    save_power_report(s, p);
-  s.b(r.hit_cycle_limit);
+  const_cast<sim::RunResult&>(r).fields(s);
 }
 
 sim::RunResult load_result(serial::Source& s) {
   sim::RunResult r;
-  const std::size_t cores = s.count(40);
-  for (std::size_t i = 0; i < cores; ++i)
-    r.cores.push_back(load_core_stats(s));
-  r.cycles = s.u64();
-  r.total_ipc = s.f64();
-  r.llc_mpki = s.f64();
-  r.metadata_miss_rate = s.f64();
-  r.metadata_accesses = s.u64();
-  r.mem.l1_accesses = s.u64();
-  r.mem.l1_misses = s.u64();
-  r.mem.llc_demand_accesses = s.u64();
-  r.mem.llc_demand_misses = s.u64();
-  r.mem.llc_writebacks = s.u64();
-  r.mem.prefetch_fills = s.u64();
-  const std::size_t per_core = s.count(8);
-  for (std::size_t i = 0; i < per_core; ++i)
-    r.mem.llc_demand_misses_per_core.push_back(s.u64());
-  r.engine = load_engine_stats(s);
-  r.dram = load_dram_stats(s);
-  const std::size_t engines = s.count(56);
-  for (std::size_t i = 0; i < engines; ++i)
-    r.engine_per_channel.push_back(load_engine_stats(s));
-  const std::size_t drams = s.count(96);
-  for (std::size_t i = 0; i < drams; ++i)
-    r.dram_per_channel.push_back(load_dram_stats(s));
-  const std::size_t powers = s.count(121);
-  for (std::size_t i = 0; i < powers; ++i)
-    r.power_per_channel.push_back(load_power_report(s));
-  r.hit_cycle_limit = s.b();
+  r.fields(s);
   return r;
 }
 

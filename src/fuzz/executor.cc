@@ -180,12 +180,13 @@ std::uint64_t Executor::functional_capacity() {
 Executor::Master& Executor::master(unsigned profile_id) {
   auto& slot = masters_[profile_id % kProfileCount];
   if (!slot) {
-    slot = std::make_unique<Master>();
     std::string failure;
-    slot->session =
-        core::SecureMemorySession::create(make_profile_config(profile_id),
-                                          &failure);
-    assert(slot->session && "fuzz profile attestation must succeed");
+    auto session = core::SecureMemorySession::create(
+        make_profile_config(profile_id), &failure);
+    if (!session)
+      throw std::runtime_error("fuzz profile attestation failed: " + failure);
+    slot = std::make_unique<Master>();
+    slot->session = std::move(session);
     slot->pristine = slot->session->snapshot();
     slot->pristine_ecc = slot->session->dimm().ecc_corrections();
   }

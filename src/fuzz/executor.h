@@ -106,6 +106,8 @@ class Executor {
 
  private:
   struct Master;
+  /// Throws std::runtime_error, carrying the reason, when the profile's
+  /// attestation fails.
   Master& master(unsigned profile);
 
   ExecutorOptions opts_;

@@ -40,15 +40,9 @@ class MetadataCache {
 
   /// Checkpoint hooks: cache contents + demand stats.
   void save(serial::Sink& s) const {
-    cache_.save(s);
-    s.u64(stats_.accesses);
-    s.u64(stats_.misses);
+    const_cast<MetadataCache&>(*this).fields(s);
   }
-  void load(serial::Source& s) {
-    cache_.load(s);
-    stats_.accesses = s.u64();
-    stats_.misses = s.u64();
-  }
+  void load(serial::Source& s) { fields(s); }
 
   double miss_rate() const {
     return stats_.accesses ? static_cast<double>(stats_.misses) /
@@ -60,6 +54,13 @@ class MetadataCache {
   void reset_stats() { stats_ = CacheStats{}; }
 
  private:
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.nested(cache_);
+    ar.u64(stats_.accesses);
+    ar.u64(stats_.misses);
+  }
+
   SetAssocCache cache_;
   CacheStats stats_;
 };

@@ -372,132 +372,82 @@ bool SecurityEngine::deferred_read_forwards() const {
   return false;
 }
 
-void SecurityEngine::save(serial::Sink& s) const {
-  meta_cache_.save(s);
+namespace {
 
-  std::vector<std::uint64_t> txn_ids;
-  txn_ids.reserve(txns_.size());
-  for (const auto& [id, txn] : txns_) txn_ids.push_back(id);
-  std::sort(txn_ids.begin(), txn_ids.end());
-  s.u64(txn_ids.size());
-  for (const std::uint64_t id : txn_ids) {
-    const Txn& t = txns_.at(id);
-    s.u64(id);
-    s.u64(t.tag);
-    s.u64(t.addr);
-    s.b(t.is_write);
-    s.u64(t.start);
-    s.b(t.data_pending);
-    s.u64(t.data_done);
-    s.u32(t.meta_outstanding);
-    s.u64(t.meta_done);
-    s.b(t.counter_pending);
-    s.u64(t.counter_done);
-    s.b(t.mac_line_pending);
-    s.u64(t.mac_line_done);
-    s.b(t.tree_walked);
-    s.b(t.write_data_issued);
-  }
-  s.u64(next_txn_id_);
-
-  std::vector<Addr> fetch_lines;
-  fetch_lines.reserve(meta_fetches_.size());
-  for (const auto& [line, f] : meta_fetches_) fetch_lines.push_back(line);
-  std::sort(fetch_lines.begin(), fetch_lines.end());
-  s.u64(fetch_lines.size());
-  for (const Addr line : fetch_lines) {
-    const MetaFetch& f = meta_fetches_.at(line);
-    s.u64(line);
-    s.u64(f.waiters.size());
-    for (const auto& [txn_id, role] : f.waiters) {
-      s.u64(txn_id);
-      s.u8(static_cast<std::uint8_t>(role));
+/// A hash map keyed by u64 as a counted (key, value) sequence. Keys are
+/// written in sorted order so the bytes do not depend on bucket layout;
+/// the engine only ever accesses both maps by key, so re-insertion order
+/// cannot affect behavior.
+template <class Ar, class Map, class F>
+void sorted_map(Ar& ar, Map& map, std::size_t min_bytes_per_item, F&& value) {
+  if constexpr (Ar::kLoading) {
+    map.clear();
+    for (std::size_t n = ar.count(min_bytes_per_item); n > 0; --n) {
+      const std::uint64_t key = ar.u64();
+      value(map[key]);
+    }
+  } else {
+    std::vector<std::uint64_t> keys;
+    keys.reserve(map.size());
+    for (const auto& kv : map) keys.push_back(kv.first);
+    std::sort(keys.begin(), keys.end());
+    ar.u64(keys.size());
+    for (const std::uint64_t key : keys) {
+      ar.u64(key);
+      value(map.find(key)->second);
     }
   }
+}
 
-  s.u64(issue_q_.size());
-  for (const PendingIssue& p : issue_q_) {
-    s.u64(p.addr);
-    s.b(p.is_write);
-    s.u64(p.tag);
-  }
-  s.u64(ready_.size());
-  for (const ReadReady& r : ready_) {
-    s.u64(r.tag);
-    s.u64(r.at);
-  }
-  s.u64(stats_.data_reads);
-  s.u64(stats_.data_writes);
-  s.u64(stats_.counter_fetches);
-  s.u64(stats_.mac_line_fetches);
-  s.u64(stats_.tree_node_fetches);
-  s.u64(stats_.meta_writebacks);
-  s.u64(stats_.reads_with_tree_walk);
+}  // namespace
+
+template <class Ar>
+void SecurityEngine::fields(Ar& ar) {
+  ar.nested(meta_cache_);
+  sorted_map(ar, txns_, 8, [&ar](Txn& t) {
+    ar.u64(t.tag);
+    ar.u64(t.addr);
+    ar.b(t.is_write);
+    ar.u64(t.start);
+    ar.b(t.data_pending);
+    ar.u64(t.data_done);
+    ar.u32(t.meta_outstanding);
+    ar.u64(t.meta_done);
+    ar.b(t.counter_pending);
+    ar.u64(t.counter_done);
+    ar.b(t.mac_line_pending);
+    ar.u64(t.mac_line_done);
+    ar.b(t.tree_walked);
+    ar.b(t.write_data_issued);
+  });
+  ar.u64(next_txn_id_);
+  sorted_map(ar, meta_fetches_, 8, [&ar](MetaFetch& f) {
+    ar.seq(f.waiters, 9, [&ar](std::pair<std::uint64_t, Role>& w) {
+      ar.u64(w.first);
+      ar.u8(w.second);
+    });
+  });
+  ar.seq(issue_q_, 17, [&ar](PendingIssue& p) {
+    ar.u64(p.addr);
+    ar.b(p.is_write);
+    ar.u64(p.tag);
+  });
+  ar.seq(ready_, 16);
+  stats_.fields(ar);
+}
+
+void SecurityEngine::save(serial::Sink& s) const {
+  const_cast<SecurityEngine&>(*this).fields(s);
 }
 
 void SecurityEngine::load(serial::Source& s) {
-  meta_cache_.load(s);
-
-  txns_.clear();
-  const std::size_t ntxn = s.count(8);
-  for (std::size_t i = 0; i < ntxn; ++i) {
-    const std::uint64_t id = s.u64();
-    Txn& t = txns_[id];
-    t.tag = s.u64();
-    t.addr = s.u64();
-    t.is_write = s.b();
-    t.start = s.u64();
-    t.data_pending = s.b();
-    t.data_done = s.u64();
-    t.meta_outstanding = s.u32();
-    t.meta_done = s.u64();
-    t.counter_pending = s.b();
-    t.counter_done = s.u64();
-    t.mac_line_pending = s.b();
-    t.mac_line_done = s.u64();
-    t.tree_walked = s.b();
-    t.write_data_issued = s.b();
-  }
-  next_txn_id_ = s.u64();
-
-  meta_fetches_.clear();
-  const std::size_t nfetch = s.count(8);
-  for (std::size_t i = 0; i < nfetch; ++i) {
-    const Addr line = s.u64();
-    MetaFetch& f = meta_fetches_[line];
-    const std::size_t nwait = s.count(9);
-    f.waiters.reserve(nwait);
-    for (std::size_t w = 0; w < nwait; ++w) {
-      const std::uint64_t txn_id = s.u64();
-      f.waiters.emplace_back(txn_id, static_cast<Role>(s.u8()));
-    }
-  }
-
-  issue_q_.clear();
+  fields(s);
+  // Re-queue the deferred issues through defer(), which fills each
+  // read's logical bank and the deferred-read count.
+  std::deque<PendingIssue> loaded;
+  loaded.swap(issue_q_);
   deferred_reads_ = 0;
-  const std::size_t nissue = s.count(17);
-  for (std::size_t i = 0; i < nissue; ++i) {
-    PendingIssue p;
-    p.addr = s.u64();
-    p.is_write = s.b();
-    p.tag = s.u64();
-    defer(p);
-  }
-  ready_.clear();
-  const std::size_t nready = s.count(16);
-  for (std::size_t i = 0; i < nready; ++i) {
-    ReadReady r;
-    r.tag = s.u64();
-    r.at = s.u64();
-    ready_.push_back(r);
-  }
-  stats_.data_reads = s.u64();
-  stats_.data_writes = s.u64();
-  stats_.counter_fetches = s.u64();
-  stats_.mac_line_fetches = s.u64();
-  stats_.tree_node_fetches = s.u64();
-  stats_.meta_writebacks = s.u64();
-  stats_.reads_with_tree_walk = s.u64();
+  for (const PendingIssue& p : loaded) defer(p);
 }
 
 }  // namespace secddr::secmem

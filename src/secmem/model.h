@@ -37,6 +37,12 @@ namespace secddr::secmem {
 struct ReadReady {
   std::uint64_t tag;
   Cycle at;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(tag);
+    ar.u64(at);
+  }
 };
 
 struct EngineStats {
@@ -50,6 +56,17 @@ struct EngineStats {
 
   std::uint64_t meta_reads() const {
     return counter_fetches + mac_line_fetches + tree_node_fetches;
+  }
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(data_reads);
+    ar.u64(data_writes);
+    ar.u64(counter_fetches);
+    ar.u64(mac_line_fetches);
+    ar.u64(tree_node_fetches);
+    ar.u64(meta_writebacks);
+    ar.u64(reads_with_tree_walk);
   }
 
   /// Accumulates another channel's counters (multi-channel aggregation).
@@ -148,12 +165,10 @@ class SecurityEngine {
     return txns_.size() + issue_q_.size() + dram_.pending();
   }
 
-  /// Checkpoint hooks: metadata cache, open transactions, outstanding
-  /// metadata fetches, the deferred-issue queue, undrained ready reads,
-  /// and stats. The hash maps are emitted in sorted key order so the
-  /// checkpoint bytes are deterministic; both maps are only ever accessed
-  /// by key, so re-insertion order cannot affect behavior. Does NOT cover
-  /// the DRAM system (the owner serializes it separately).
+  /// Checkpoint hooks: metadata cache, open transactions and outstanding
+  /// metadata fetches (both maps in sorted key order), the deferred-issue
+  /// queue, undrained ready reads, and stats. Does NOT cover the DRAM
+  /// system (the owner serializes it separately).
   void save(serial::Sink& s) const;
   void load(serial::Source& s);
 
@@ -227,6 +242,8 @@ class SecurityEngine {
   };
   /// Appends to issue_q_, filling the derived fields.
   void defer(PendingIssue p);
+  template <class Ar>
+  void fields(Ar& ar);
 
   std::deque<PendingIssue> issue_q_;
   std::size_t deferred_reads_ = 0;  ///< reads in issue_q_

@@ -6,21 +6,8 @@
 
 namespace secddr::sim {
 
-namespace {
-
-// Runs before the channel selector is built: it derives its bit layout
-// from the channel count.
-const dram::Geometry& checked_geometry(const dram::Geometry& g) {
-  if (g.channels < 1)
-    throw std::invalid_argument(
-        "MemoryBackend: geometry.channels must be >= 1");
-  return g;
-}
-
-}  // namespace
-
 MemoryBackend::MemoryBackend(const BackendConfig& config)
-    : selector_(checked_geometry(config.geometry)),
+    : selector_(config.geometry),
       event_driven_(config.event_driven) {
   const unsigned n = config.geometry.channels;
   // Each channel's local data slice must be dense: the selector removes
@@ -195,39 +182,22 @@ double MemoryBackend::metadata_miss_rate() const {
                   : 0.0;
 }
 
-void MemoryBackend::save(serial::Sink& s) const {
-  s.u32(channels());
-  for (const Channel& ch : channels_) {
-    ch.dram->save(s);
-    ch.engine->save(s);
+template <class Ar>
+void MemoryBackend::fields(Ar& ar) {
+  ar.fixed_u32(channels(), "backend channel count mismatch");
+  for (Channel& ch : channels_) {
+    ar.nested(*ch.dram);
+    ar.nested(*ch.engine);
   }
-  s.u64(ready_.size());
-  for (const secmem::ReadReady& r : ready_) {
-    s.u64(r.tag);
-    s.u64(r.at);
-  }
-  s.u64(dispatch_epochs_);
-  s.u64(dispatch_cycles_);
+  ar.seq(ready_, 16);
+  ar.u64(dispatch_epochs_);
+  ar.u64(dispatch_cycles_);
 }
 
-void MemoryBackend::load(serial::Source& s) {
-  if (s.u32() != channels())
-    throw std::runtime_error("backend channel count mismatch");
-  for (Channel& ch : channels_) {
-    ch.dram->load(s);
-    ch.engine->load(s);
-  }
-  ready_.clear();
-  const std::size_t n = s.count(16);
-  for (std::size_t i = 0; i < n; ++i) {
-    secmem::ReadReady r;
-    r.tag = s.u64();
-    r.at = s.u64();
-    ready_.push_back(r);
-  }
-  dispatch_epochs_ = s.u64();
-  dispatch_cycles_ = s.u64();
+void MemoryBackend::save(serial::Sink& s) const {
+  const_cast<MemoryBackend&>(*this).fields(s);
 }
+void MemoryBackend::load(serial::Source& s) { fields(s); }
 
 void MemoryBackend::reset_stats() {
   dispatch_epochs_ = 0;

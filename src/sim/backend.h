@@ -49,8 +49,9 @@ struct BackendConfig {
 /// See file comment.
 class MemoryBackend {
  public:
-  /// Throws std::invalid_argument when geometry.channels is 0, when
-  /// data_bytes is not a whole number of interleave stripes per channel,
+  /// Throws std::invalid_argument when the geometry is not a power of two
+  /// in every dimension (channels included), when data_bytes is not a
+  /// whole number of interleave stripes per channel,
   /// or when a channel's data slice plus its metadata exceeds the
   /// channel's capacity.
   explicit MemoryBackend(const BackendConfig& config);
@@ -162,6 +163,8 @@ class MemoryBackend {
   /// engines' batched tick_until (channel-local clock + event-driven
   /// skips) for wider epoch windows.
   void tick_range(Cycle from, Cycle to);
+  template <class Ar>
+  void fields(Ar& ar);
   /// Common epoch dispatch behind tick()/run_window(): ticks the window,
   /// then gathers ready() in channel order.
   void dispatch(Cycle from, Cycle to);

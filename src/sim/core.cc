@@ -236,64 +236,34 @@ void Core::advance_idle(Cycle cycles) {
     stats_.load_stall_cycles += cycles;
 }
 
-void Core::save(serial::Sink& s) const {
-  s.u64(rob_.size());
-  for (const RobEntry& e : rob_) {
-    s.u8(static_cast<std::uint8_t>(e.kind));
-    s.u32(e.remaining);
-    s.u64(e.addr);
-    s.b(e.issued);
-    s.b(e.done);
-  }
-  s.u64(issue_cursor_);
-  s.u64(rob_occupancy_);
-  s.u64(mem_ops_in_rob_);
-  s.u64(fetched_instructions_);
-  s.u64(trace_records_);
-  s.u64(budget_);
-  s.b(trace_exhausted_);
-  s.b(finished_);
-  s.b(have_pending_record_);
-  s.u32(pending_record_.gap);
-  s.b(pending_record_.is_write);
-  s.u64(pending_record_.addr);
-  s.u64(stats_.instructions);
-  s.u64(stats_.cycles);
-  s.u64(stats_.loads);
-  s.u64(stats_.stores);
-  s.u64(stats_.load_stall_cycles);
+template <class Ar>
+void Core::fields(Ar& ar) {
+  ar.seq(rob_, 15, [&ar](RobEntry& e) {
+    ar.u8(e.kind);
+    ar.u32(e.remaining);
+    ar.u64(e.addr);
+    ar.b(e.issued);
+    ar.b(e.done);
+  });
+  ar.u64(issue_cursor_);
+  ar.u64(rob_occupancy_);
+  ar.u64(mem_ops_in_rob_);
+  ar.u64(fetched_instructions_);
+  ar.u64(trace_records_);
+  ar.u64(budget_);
+  ar.b(trace_exhausted_);
+  ar.b(finished_);
+  ar.b(have_pending_record_);
+  ar.u32(pending_record_.gap);
+  ar.b(pending_record_.is_write);
+  ar.u64(pending_record_.addr);
+  stats_.fields(ar);
 }
 
-void Core::load(serial::Source& s) {
-  rob_.clear();
-  const std::size_t n = s.count(15);
-  for (std::size_t i = 0; i < n; ++i) {
-    RobEntry e;
-    e.kind = static_cast<Kind>(s.u8());
-    e.remaining = s.u32();
-    e.addr = s.u64();
-    e.issued = s.b();
-    e.done = s.b();
-    rob_.push_back(e);
-  }
-  issue_cursor_ = s.u64();
-  rob_occupancy_ = s.u64();
-  mem_ops_in_rob_ = s.u64();
-  fetched_instructions_ = s.u64();
-  trace_records_ = s.u64();
-  budget_ = s.u64();
-  trace_exhausted_ = s.b();
-  finished_ = s.b();
-  have_pending_record_ = s.b();
-  pending_record_.gap = s.u32();
-  pending_record_.is_write = s.b();
-  pending_record_.addr = s.u64();
-  stats_.instructions = s.u64();
-  stats_.cycles = s.u64();
-  stats_.loads = s.u64();
-  stats_.stores = s.u64();
-  stats_.load_stall_cycles = s.u64();
+void Core::save(serial::Sink& s) const { const_cast<Core&>(*this).fields(s); }
 
+void Core::load(serial::Source& s) {
+  fields(s);
   // Re-derive the trace position: the bound source starts at its first
   // record, and every source is deterministic, so consuming the same
   // count lands on the identical next record.

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 
 #include "common/serial.h"
 #include "common/types.h"
@@ -42,6 +43,15 @@ struct CoreStats {
   std::uint64_t loads = 0;
   std::uint64_t stores = 0;
   std::uint64_t load_stall_cycles = 0;  ///< head-of-ROB blocked on a load
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(instructions);
+    ar.u64(cycles);
+    ar.u64(loads);
+    ar.u64(stores);
+    ar.u64(load_stall_cycles);
+  }
 
   double ipc() const {
     return cycles ? static_cast<double>(instructions) /
@@ -122,8 +132,14 @@ class Core {
   /// ROB index of the entry whose done flag is `flag`, or -1 when the
   /// pointer is not into this core's ROB. The MemorySystem serializes its
   /// MSHR waiter pointers as (core, index) pairs through these two hooks.
+  /// done_flag_at() throws std::runtime_error for an index past the ROB
+  /// (a corrupt token).
   std::int64_t done_flag_index(const bool* flag) const;
-  bool* done_flag_at(std::uint64_t idx) { return &rob_[idx].done; }
+  bool* done_flag_at(std::uint64_t idx) {
+    if (idx >= rob_.size())
+      throw std::runtime_error("completion-flag token names a bad ROB entry");
+    return &rob_[idx].done;
+  }
 
  private:
   enum class Kind : std::uint8_t { kBatch, kLoad, kStore };
@@ -174,6 +190,8 @@ class Core {
   /// single batch entry — retirement treats contiguous batch instructions
   /// identically regardless of entry grouping, so behaviour is unchanged.
   void advance_compute(Cycle ticks);
+  template <class Ar>
+  void fields(Ar& ar);
 
   unsigned id_;
   CoreConfig config_;

@@ -283,100 +283,67 @@ void MemorySystem::advance_idle(Cycle cycles) {
   backend_.advance_idle(cycles);
 }
 
-void MemorySystem::save(serial::Sink& s, const FlagEncoder& encode_flag) const {
-  for (const SetAssocCache& l1 : l1s_) l1.save(s);
-  llc_.save(s);
-  prefetcher_.save(s);
+template <class Ar, class FlagCodec>
+void MemorySystem::fields(Ar& ar, const FlagCodec& flag) {
+  for (SetAssocCache& l1 : l1s_) ar.nested(l1);
+  ar.nested(llc_);
+  ar.nested(prefetcher_);
 
-  s.u64(mshrs_.size());
-  for (const Mshr& m : mshrs_) {
-    s.b(m.valid);
-    s.u64(m.line);
-    s.b(m.demand);
-    s.u64(m.waiters.size());
-    for (bool* w : m.waiters) s.u64(encode_flag(w));
+  ar.fixed_u64(mshrs_.size(), "MSHR count mismatch");
+  for (Mshr& m : mshrs_) {
+    ar.b(m.valid);
+    ar.u64(m.line);
+    ar.b(m.demand);
+    ar.seq(m.waiters, 8, [&](bool*& w) {
+      if constexpr (Ar::kLoading)
+        w = flag(ar.u64());
+      else
+        ar.u64(flag(w));
+    });
   }
-  s.u64(mshr_free_.size());
-  for (const unsigned idx : mshr_free_) s.u32(idx);
-  s.u64(fill_version_);
+  ar.seq(mshr_free_, 4, [&ar](unsigned& idx) { ar.u32(idx); });
+  ar.u64(fill_version_);
 
-  // Drain a copy of the priority queue: among equal maturity times the
-  // pop order only decides which independent flag is raised first within
-  // the same tick, so any heap-internal order is behaviorally identical.
-  // The entries are written sorted by (cycle, token), though: a restored
-  // heap has its own internal layout, and emitting it in pop order would
-  // let save -> load -> save reorder equal-cycle entries.
-  auto q = done_q_;
+  // Pending completion flags as sorted (cycle, token) pairs. Equal-cycle
+  // flags are raised in the same tick, so their order is behavior-neutral,
+  // but writing heap pop order would let a re-save reorder them.
   std::vector<std::pair<Cycle, std::uint64_t>> done;
-  done.reserve(q.size());
-  while (!q.empty()) {
-    done.emplace_back(q.top().at, encode_flag(q.top().flag));
-    q.pop();
+  if constexpr (!Ar::kLoading) {
+    for (auto q = done_q_; !q.empty(); q.pop())
+      done.emplace_back(q.top().at, flag(q.top().flag));
+    std::sort(done.begin(), done.end());
   }
-  std::sort(done.begin(), done.end());
-  s.u64(done.size());
-  for (const auto& [at, token] : done) {
-    s.u64(at);
-    s.u64(token);
+  ar.seq(done, 16, [&ar](std::pair<Cycle, std::uint64_t>& d) {
+    ar.u64(d.first);
+    ar.u64(d.second);
+  });
+  if constexpr (Ar::kLoading) {
+    done_q_ = {};
+    for (const auto& [at, token] : done) done_q_.push({at, flag(token)});
   }
 
-  s.u64(now_);
-  s.u64(stats_.l1_accesses);
-  s.u64(stats_.l1_misses);
-  s.u64(stats_.llc_demand_accesses);
-  s.u64(stats_.llc_demand_misses);
-  s.u64(stats_.llc_writebacks);
-  s.u64(stats_.prefetch_fills);
-  s.u64(stats_.llc_demand_misses_per_core.size());
-  for (const std::uint64_t v : stats_.llc_demand_misses_per_core) s.u64(v);
+  ar.u64(now_);
+  stats_.fields(ar);
+}
+
+void MemorySystem::save(serial::Sink& s, const FlagEncoder& encode_flag) const {
+  const_cast<MemorySystem&>(*this).fields(s, encode_flag);
 }
 
 void MemorySystem::load(serial::Source& s, const FlagDecoder& decode_flag) {
-  for (SetAssocCache& l1 : l1s_) l1.load(s);
-  llc_.load(s);
-  prefetcher_.load(s);
+  fields(s, decode_flag);
 
-  if (s.u64() != mshrs_.size())
-    throw std::runtime_error("MSHR count mismatch");
+  // Re-derive the MSHR lookup table. The memo is a pure accelerator: a
+  // fresh (empty) memo recomputes the predicate on first query and
+  // records the identical statistics a hit would have, so resetting it
+  // cannot change results.
   mshr_map_.init(static_cast<unsigned>(mshrs_.size()));
-  for (std::size_t i = 0; i < mshrs_.size(); ++i) {
-    Mshr& m = mshrs_[i];
-    m.valid = s.b();
-    m.line = s.u64();
-    m.demand = s.b();
-    m.waiters.clear();
-    const std::size_t nw = s.count(8);
-    for (std::size_t w = 0; w < nw; ++w)
-      m.waiters.push_back(decode_flag(s.u64()));
-    if (m.valid) mshr_map_.insert(m.line, static_cast<unsigned>(i));
-  }
-  mshr_free_.clear();
-  const std::size_t nfree = s.count(4);
-  for (std::size_t i = 0; i < nfree; ++i) mshr_free_.push_back(s.u32());
-  fill_version_ = s.u64();
-
-  while (!done_q_.empty()) done_q_.pop();
-  const std::size_t nq = s.count(16);
-  for (std::size_t i = 0; i < nq; ++i) {
-    const Cycle at = s.u64();
-    done_q_.push({at, decode_flag(s.u64())});
-  }
-
-  now_ = s.u64();
-  stats_.l1_accesses = s.u64();
-  stats_.l1_misses = s.u64();
-  stats_.llc_demand_accesses = s.u64();
-  stats_.llc_demand_misses = s.u64();
-  stats_.llc_writebacks = s.u64();
-  stats_.prefetch_fills = s.u64();
-  stats_.llc_demand_misses_per_core.clear();
-  const std::size_t npc = s.count(8);
-  for (std::size_t i = 0; i < npc; ++i)
-    stats_.llc_demand_misses_per_core.push_back(s.u64());
-
-  // The memo is a pure accelerator: a fresh (empty) memo recomputes the
-  // predicate on first query and records the identical statistics a hit
-  // would have, so resetting it cannot change results.
+  for (std::size_t i = 0; i < mshrs_.size(); ++i)
+    if (mshrs_[i].valid)
+      mshr_map_.insert(mshrs_[i].line, static_cast<unsigned>(i));
+  for (const unsigned idx : mshr_free_)
+    if (idx >= mshrs_.size())
+      throw std::runtime_error("MSHR free-list index out of range");
   blocked_memo_.assign(config_.cores, BlockedMemo{});
 }
 

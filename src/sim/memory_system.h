@@ -42,6 +42,18 @@ struct MemStats {
   std::uint64_t llc_writebacks = 0;
   std::uint64_t prefetch_fills = 0;
   std::vector<std::uint64_t> llc_demand_misses_per_core;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.u64(l1_accesses);
+    ar.u64(l1_misses);
+    ar.u64(llc_demand_accesses);
+    ar.u64(llc_demand_misses);
+    ar.u64(llc_writebacks);
+    ar.u64(prefetch_fills);
+    ar.seq(llc_demand_misses_per_core, 8,
+           [&ar](std::uint64_t& v) { ar.u64(v); });
+  }
 };
 
 class MemorySystem final : public MemoryPort {
@@ -148,6 +160,9 @@ class MemorySystem final : public MemoryPort {
   int alloc_mshr(Addr line);
   void release_mshr(std::size_t idx);
   void complete_at(Cycle at, bool* flag);
+  /// `flag` is the save-side FlagEncoder or the load-side FlagDecoder.
+  template <class Ar, class FlagCodec>
+  void fields(Ar& ar, const FlagCodec& flag);
 
   MemConfig config_;
   MemoryBackend& backend_;

@@ -56,33 +56,24 @@ void StreamPrefetcher::train(Addr line_addr, std::vector<Addr>& out) {
   }
 }
 
-void StreamPrefetcher::save(serial::Sink& s) const {
-  s.u64(streams_.size());
-  for (const Stream& st : streams_) {
-    s.b(st.valid);
-    s.u64(st.page);
-    s.u64(st.last_line);
-    s.i64(st.direction);
-    s.u32(st.confidence);
-    s.u64(st.lru);
+template <class Ar>
+void StreamPrefetcher::fields(Ar& ar) {
+  ar.fixed_u64(streams_.size(), "prefetcher stream count mismatch");
+  for (Stream& st : streams_) {
+    ar.b(st.valid);
+    ar.u64(st.page);
+    ar.u64(st.last_line);
+    ar.i64(st.direction);
+    ar.u32(st.confidence);
+    ar.u64(st.lru);
   }
-  s.u64(lru_clock_);
-  s.u64(issued_);
+  ar.u64(lru_clock_);
+  ar.u64(issued_);
 }
 
-void StreamPrefetcher::load(serial::Source& s) {
-  if (s.u64() != streams_.size())
-    throw std::runtime_error("prefetcher stream count mismatch");
-  for (Stream& st : streams_) {
-    st.valid = s.b();
-    st.page = s.u64();
-    st.last_line = s.u64();
-    st.direction = static_cast<int>(s.i64());
-    st.confidence = s.u32();
-    st.lru = s.u64();
-  }
-  lru_clock_ = s.u64();
-  issued_ = s.u64();
+void StreamPrefetcher::save(serial::Sink& s) const {
+  const_cast<StreamPrefetcher&>(*this).fields(s);
 }
+void StreamPrefetcher::load(serial::Source& s) { fields(s); }
 
 }  // namespace secddr::sim

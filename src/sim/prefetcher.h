@@ -44,6 +44,8 @@ class StreamPrefetcher {
     unsigned confidence = 0;
     std::uint64_t lru = 0;
   };
+  template <class Ar>
+  void fields(Ar& ar);
 
   PrefetcherConfig config_;
   std::vector<Stream> streams_;

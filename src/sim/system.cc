@@ -182,50 +182,46 @@ RunResult System::run(std::uint64_t instructions_per_core, Cycle max_cycles,
   return result();
 }
 
-void System::save(serial::Sink& s) const {
-  backend_->save(s);
+template <class Ar>
+void System::fields(Ar& ar) {
+  ar.nested(*backend_);
   // Cores before the memory hierarchy: load() must rebuild the ROBs
   // before it can decode MSHR waiter tokens back into done-flag pointers.
-  for (const auto& core : cores_) core->save(s);
-  memory_->save(s, [this](bool* flag) -> std::uint64_t {
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      const std::int64_t idx = cores_[c]->done_flag_index(flag);
-      if (idx >= 0)
-        return (static_cast<std::uint64_t>(c) << 32) |
-               static_cast<std::uint64_t>(idx);
-    }
-    throw std::runtime_error("completion flag points outside every ROB");
-  });
-  s.b(st_.active);
-  s.u64(st_.instructions);
-  s.u64(st_.warmup);
-  s.u64(st_.max_cycles);
-  s.u32(st_.phase);
-  s.u64(st_.cycle);
-  s.u32(st_.deny_streak);
-  s.u32(st_.attempt_pause);
-  s.b(st_.hit_limit);
+  // A flag travels as the token (core << 32) | rob-index.
+  for (auto& core : cores_) ar.nested(*core);
+  if constexpr (Ar::kLoading) {
+    memory_->load(ar, [this](std::uint64_t token) -> bool* {
+      const std::size_t c = static_cast<std::size_t>(token >> 32);
+      if (c >= cores_.size())
+        throw std::runtime_error("completion-flag token names a bad core");
+      return cores_[c]->done_flag_at(token & 0xFFFFFFFFull);
+    });
+  } else {
+    memory_->save(ar, [this](bool* flag) -> std::uint64_t {
+      for (std::size_t c = 0; c < cores_.size(); ++c) {
+        const std::int64_t idx = cores_[c]->done_flag_index(flag);
+        if (idx >= 0)
+          return (static_cast<std::uint64_t>(c) << 32) |
+                 static_cast<std::uint64_t>(idx);
+      }
+      throw std::runtime_error("completion flag points outside every ROB");
+    });
+  }
+  ar.b(st_.active);
+  ar.u64(st_.instructions);
+  ar.u64(st_.warmup);
+  ar.u64(st_.max_cycles);
+  ar.u32(st_.phase);
+  ar.u64(st_.cycle);
+  ar.u32(st_.deny_streak);
+  ar.u32(st_.attempt_pause);
+  ar.b(st_.hit_limit);
 }
 
-void System::load(serial::Source& s) {
-  backend_->load(s);
-  for (auto& core : cores_) core->load(s);
-  memory_->load(s, [this](std::uint64_t token) -> bool* {
-    const std::size_t c = static_cast<std::size_t>(token >> 32);
-    if (c >= cores_.size())
-      throw std::runtime_error("completion-flag token names a bad core");
-    return cores_[c]->done_flag_at(token & 0xFFFFFFFFull);
-  });
-  st_.active = s.b();
-  st_.instructions = s.u64();
-  st_.warmup = s.u64();
-  st_.max_cycles = s.u64();
-  st_.phase = s.u32();
-  st_.cycle = s.u64();
-  st_.deny_streak = s.u32();
-  st_.attempt_pause = s.u32();
-  st_.hit_limit = s.b();
+void System::save(serial::Sink& s) const {
+  const_cast<System&>(*this).fields(s);
 }
+void System::load(serial::Source& s) { fields(s); }
 
 std::uint64_t System::config_hash() const {
   serial::Sink s;

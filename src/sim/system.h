@@ -63,6 +63,24 @@ struct RunResult {
   std::vector<dram::PowerReport> power_per_channel;
   /// True when any phase (warmup or measured) ran into `max_cycles`.
   bool hit_cycle_limit = false;
+
+  /// The fleet wire/result format (fleet::checkpoint::encode_result).
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.seq(cores, 40);
+    ar.u64(cycles);
+    ar.f64(total_ipc);
+    ar.f64(llc_mpki);
+    ar.f64(metadata_miss_rate);
+    ar.u64(metadata_accesses);
+    mem.fields(ar);
+    engine.fields(ar);
+    dram.fields(ar);
+    ar.seq(engine_per_channel, 56);
+    ar.seq(dram_per_channel, 96);
+    ar.seq(power_per_channel, 121);
+    ar.b(hit_cycle_limit);
+  }
 };
 
 /// Owns every component and runs the simulation loop.
@@ -154,6 +172,8 @@ class System {
   /// finished). Performs the warmup->measured transition (stat resets +
   /// raised budgets); returns false when the measured phase just ended.
   bool finish_phase(bool at_limit);
+  template <class Ar>
+  void fields(Ar& ar);
 
   SystemConfig config_;
   std::unique_ptr<MemoryBackend> backend_;

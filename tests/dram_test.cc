@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -82,6 +84,22 @@ TEST(AddressMapping, DecodeEncodeRoundTrip) {
     EXPECT_LT(d.row, g.rows_per_bank);
     EXPECT_LT(d.column, g.columns_per_row);
     EXPECT_EQ(m.encode(d), a);
+  }
+}
+
+TEST(AddressMapping, RejectsNonPowerOfTwoGeometryInEveryBuild) {
+  EXPECT_NO_THROW(AddressMapping{small_geometry()});
+  for (int dim = 0; dim < 5; ++dim) {
+    SCOPED_TRACE("dimension " + std::to_string(dim));
+    Geometry g = small_geometry();
+    switch (dim) {
+      case 0: g.columns_per_row = 96; break;
+      case 1: g.bank_groups = 3; break;
+      case 2: g.banks_per_group = 0; break;
+      case 3: g.ranks = 3; break;
+      default: g.rows_per_bank = 1000; break;
+    }
+    EXPECT_THROW(AddressMapping{g}, std::invalid_argument);
   }
 }
 

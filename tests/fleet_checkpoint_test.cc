@@ -19,6 +19,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <memory>
@@ -699,6 +700,188 @@ TEST(FleetSystemCheckpoint, ConfigHashMatchesGolden) {
   power.power = engaged_power();
   EXPECT_EQ(make_system(*desc, power).sys->config_hash(),
             0x2025206566fb4232ull);
+}
+
+// ---------------------------------------------------------------------------
+// Controller load-time validation. The payload stores a few derived values
+// (row-hit counts, queue sizes, the in-flight minimum) and the remap
+// table; load() recomputes each and rejects a payload that disagrees, and
+// the container reports that as CheckpointFormatError.
+// ---------------------------------------------------------------------------
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& p, std::size_t at) {
+  return serial::Source(p.data() + at, 8).u64();
+}
+std::uint32_t get_u32(const std::vector<std::uint8_t>& p, std::size_t at) {
+  return serial::Source(p.data() + at, 4).u32();
+}
+void put_u64(std::vector<std::uint8_t>& p, std::size_t at, std::uint64_t v) {
+  serial::Sink s;
+  s.u64(v);
+  std::copy(s.data().begin(), s.data().end(), p.begin() + at);
+}
+void put_u32(std::vector<std::uint8_t>& p, std::size_t at, std::uint32_t v) {
+  serial::Sink s;
+  s.u32(v);
+  std::copy(s.data().begin(), s.data().end(), p.begin() + at);
+}
+
+/// Byte offsets inside the channel-0 controller block of a 1-channel
+/// System payload, found by walking the layout Controller::fields writes.
+struct ControllerOffsets {
+  std::size_t remap = 0;  ///< first remap_ entry (power + remap only)
+  std::vector<std::size_t> open_row;
+  std::vector<std::size_t> first_entry[2];  ///< 0 when the FIFO is empty
+  std::vector<std::size_t> match_count[2];
+  std::size_t q_size[2] = {0, 0};
+  std::size_t inflight_min = 0;
+};
+
+ControllerOffsets walk_controller(const std::vector<std::uint8_t>& p,
+                                  const sim::SystemConfig& cfg) {
+  const unsigned ranks = cfg.geometry.ranks;
+  const unsigned banks = cfg.geometry.total_banks();
+  ControllerOffsets at;
+  std::size_t o = 4;  // backend channel count
+  if (cfg.power.enabled) {
+    // Window start, per-rank counts, per-bank activity, per-rank thermal
+    // state + energy, energy and command totals, four counters, throttle.
+    o += 8 + 40 * ranks + 8 * banks + 24 * ranks + 48 + 40 + 32 + 1;
+    if (cfg.power.remap) {
+      at.remap = o;
+      o += 4 * banks;
+    }
+  }
+  EXPECT_EQ(get_u64(p, o), banks);
+  o += 8;
+  for (unsigned b = 0; b < banks; ++b, o += 40) at.open_row.push_back(o);
+  EXPECT_EQ(get_u64(p, o), ranks);
+  o += 8;
+  for (unsigned r = 0; r < ranks; ++r)
+    o += 8 + 8 * get_u64(p, o) + 8 + 1 + 4 + 8 + 1;
+  for (unsigned dir = 0; dir < 2; ++dir) {
+    for (unsigned b = 0; b < banks; ++b) {
+      const std::uint64_t n = get_u64(p, o);
+      at.first_entry[dir].push_back(n ? o + 8 : 0);
+      o += 8 + 33 * n;
+      at.match_count[dir].push_back(o);
+      o += 4;
+    }
+    at.q_size[dir] = o;
+    o += 4;
+  }
+  o += 8 + 1;  // next_seq, draining_writes
+  o += 8 + 41 * get_u64(p, o);
+  at.inflight_min = o;
+  return at;
+}
+
+struct CorruptibleCheckpoint {
+  sim::SystemConfig cfg;
+  std::vector<std::uint8_t> payload;
+  ControllerOffsets at;
+  std::uint64_t hash = 0;
+
+  explicit CorruptibleCheckpoint(const sim::SystemConfig& config)
+      : cfg(config) {
+    LiveSystem live = make_system(*workloads::find("mcf"), cfg);
+    live.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+    EXPECT_TRUE(live.sys->step(1500));
+    payload = save_payload(*live.sys);
+    hash = live.sys->config_hash();
+    at = walk_controller(payload, cfg);
+  }
+
+  /// A bank that is open with a nonempty read FIFO.
+  unsigned open_busy_bank() const {
+    for (unsigned b = 0; b < at.open_row.size(); ++b)
+      if (static_cast<std::int64_t>(get_u64(payload, at.open_row[b])) >= 0 &&
+          at.first_entry[0][b] != 0)
+        return b;
+    ADD_FAILURE() << "no open bank with queued reads at the checkpoint";
+    return 0;
+  }
+
+  /// Restores `bytes` into a fresh System; expects a CheckpointFormatError
+  /// naming `fragment`.
+  void expect_rejected(const std::vector<std::uint8_t>& bytes,
+                       const std::string& fragment) const {
+    LiveSystem fresh = make_system(*workloads::find("mcf"), cfg);
+    fresh.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+    const std::vector<std::uint8_t> image = ck::encode(hash, bytes);
+    try {
+      ck::decode_system(*fresh.sys, image.data(), image.size(), "bad.ckpt");
+      FAIL() << "corrupt " << fragment << " must be rejected";
+    } catch (const CheckpointFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+          << e.what();
+    }
+  }
+};
+
+TEST(FleetControllerValidation, UnmodifiedPayloadRestores) {
+  const CorruptibleCheckpoint ck(small_config(1, /*event_driven=*/true));
+  LiveSystem fresh = make_system(*workloads::find("mcf"), ck.cfg);
+  fresh.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+  serial::Source src(ck.payload);
+  fresh.sys->load(src);
+  EXPECT_EQ(save_payload(*fresh.sys), ck.payload);
+}
+
+TEST(FleetControllerValidation, RowHitCountMismatchIsRejected) {
+  // A stored row-hit count above the FIFO's real one would put the bank
+  // in the column index with no row hit to issue.
+  const CorruptibleCheckpoint ck(small_config(1, /*event_driven=*/true));
+  const unsigned bank = ck.open_busy_bank();
+  std::vector<std::uint8_t> bad = ck.payload;
+  const std::size_t at = ck.at.match_count[0][bank];
+  put_u32(bad, at, get_u32(bad, at) + 1);
+  ck.expect_rejected(bad, "row-hit count");
+}
+
+TEST(FleetControllerValidation, QueueSizeMismatchIsRejected) {
+  const CorruptibleCheckpoint ck(small_config(1, /*event_driven=*/true));
+  std::vector<std::uint8_t> bad = ck.payload;
+  put_u32(bad, ck.at.q_size[0], get_u32(bad, ck.at.q_size[0]) + 1);
+  ck.expect_rejected(bad, "queue size");
+  // A size beyond the queue capacity is rejected even when it matches.
+  bad = ck.payload;
+  put_u32(bad, ck.at.q_size[1], 1000);
+  ck.expect_rejected(bad, "queue size");
+}
+
+TEST(FleetControllerValidation, InflightMinimumMismatchIsRejected) {
+  const CorruptibleCheckpoint ck(small_config(1, /*event_driven=*/true));
+  std::vector<std::uint8_t> bad = ck.payload;
+  ASSERT_NE(get_u64(bad, ck.at.inflight_min), kNoEvent)
+      << "no read in flight at the checkpoint";
+  put_u64(bad, ck.at.inflight_min, get_u64(bad, ck.at.inflight_min) + 1);
+  ck.expect_rejected(bad, "in-flight finish");
+}
+
+TEST(FleetControllerValidation, RequestInTheWrongBankIsRejected) {
+  const CorruptibleCheckpoint ck(small_config(1, /*event_driven=*/true));
+  const unsigned bank = ck.open_busy_bank();
+  const dram::AddressMapping mapping(ck.cfg.geometry);
+  std::vector<std::uint8_t> bad = ck.payload;
+  const std::size_t at = ck.at.first_entry[0][bank];
+  dram::DecodedAddr d = mapping.decode(get_u64(bad, at));
+  d.bank = (d.bank + 1) % ck.cfg.geometry.banks_per_group;
+  put_u64(bad, at, mapping.encode(d));
+  ck.expect_rejected(bad, "wrong bank");
+}
+
+TEST(FleetControllerValidation, RemapTableThatIsNotAPermutationIsRejected) {
+  sim::SystemConfig cfg = small_config(1, /*event_driven=*/true);
+  cfg.power = engaged_power();
+  const CorruptibleCheckpoint ck(cfg);
+  ASSERT_NE(ck.at.remap, 0u);
+  std::vector<std::uint8_t> bad = ck.payload;
+  put_u32(bad, ck.at.remap + 4, get_u32(bad, ck.at.remap));  // duplicate
+  ck.expect_rejected(bad, "not a permutation");
+  bad = ck.payload;
+  put_u32(bad, ck.at.remap, cfg.geometry.total_banks());
+  ck.expect_rejected(bad, "out of range");
 }
 
 TEST(FleetSystemCheckpoint, TruncatedSystemPayloadReportsOffset) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,18 @@ TEST(ChannelSelector, SingleChannelIsIdentity) {
       EXPECT_EQ(sel.to_global(0, a), a);
     }
   }
+}
+
+TEST(ChannelSelector, RejectsNonPowerOfTwoGeometryInEveryBuild) {
+  for (const unsigned channels : {0u, 3u, 6u}) {
+    SCOPED_TRACE("channels=" + std::to_string(channels));
+    EXPECT_THROW(dram::ChannelSelector(make_geometry(
+                     channels, dram::ChannelInterleave::kLine)),
+                 std::invalid_argument);
+  }
+  dram::Geometry g = make_geometry(2, dram::ChannelInterleave::kRow);
+  g.columns_per_row = 96;
+  EXPECT_THROW(dram::ChannelSelector{g}, std::invalid_argument);
 }
 
 // ----------------------------------------------------- metadata isolation
