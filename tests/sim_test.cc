@@ -76,6 +76,47 @@ TEST(Core, PureComputeRetiresAtWidth) {
   EXPECT_NEAR(static_cast<double>(core.stats().cycles), 6001.0 / 6.0, 25.0);
 }
 
+// Checkpoint tokens name ROB entries by index; a corrupt index throws
+// instead of pointing past the ROB.
+TEST(Core, DoneFlagTokenPastTheRobIsRejected) {
+  VectorTrace trace(make_trace(4, 0));
+  FakeMemory mem(1000);
+  Core core(0, {224, 6}, trace, mem);
+  core.tick();
+  EXPECT_NO_THROW(core.done_flag_at(0));
+  EXPECT_THROW(core.done_flag_at(1'000'000), std::runtime_error);
+}
+
+// A checkpointed MSHR free list indexes the MSHR table; an entry past it
+// is rejected on load.
+TEST(MemorySystem, MshrFreeListIndexOutOfRangeIsRejected) {
+  BackendConfig bcfg;
+  bcfg.security = secmem::SecurityParams::secddr_ctr();
+  bcfg.data_bytes = 4ull << 30;
+  MemoryBackend backend(bcfg);
+  MemConfig cfg;
+  cfg.cores = 1;
+  MemorySystem mem(cfg, backend);
+  const auto no_flags = [](bool*) -> std::uint64_t {
+    throw std::logic_error("no waiters in a fresh memory system");
+  };
+  serial::Sink s;
+  mem.save(s, no_flags);
+  std::vector<std::uint8_t> payload = s.take();
+  // Tail of a fresh payload: free list (count + one u32 per MSHR), fill
+  // version, empty done queue, now, six stat counters, per-core misses.
+  const std::size_t free_list =
+      payload.size() - (8 + 8 + 8 + 6 * 8 + 8 + 8 * cfg.cores) -
+      4 * cfg.mshrs - 8;
+  ASSERT_EQ(serial::Source(payload.data() + free_list, 8).u64(), cfg.mshrs);
+  payload[free_list + 8 + 1] = 0x10;  // first free index += 4096
+
+  MemorySystem fresh(cfg, backend);
+  serial::Source src(payload);
+  EXPECT_THROW(fresh.load(src, [](std::uint64_t) -> bool* { return nullptr; }),
+               std::runtime_error);
+}
+
 TEST(Core, MemoryLatencyBoundsIpcWithoutMlp) {
   // Dependent loads (one at a time in a tiny ROB) pay the full latency.
   VectorTrace trace(make_trace(100, 0));
