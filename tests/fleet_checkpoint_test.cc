@@ -627,6 +627,9 @@ TEST(FleetSystemCheckpoint, PowerRemapTree64PayloadMatchesGolden) {
     EXPECT_EQ(payload.size(), g.bytes);
     EXPECT_EQ(fnv1a(payload), g.fnv);
 
+    // Transactions are open and tree walks have run at the checkpoint.
+    EXPECT_GT(live.sys->engine().outstanding(), 0u);
+    EXPECT_GT(live.sys->engine().stats().reads_with_tree_walk, 0u);
     // The policies really acted before the checkpoint.
     std::uint64_t throttled = 0, swaps = 0;
     for (unsigned ch = 0; ch < 2; ++ch) {
