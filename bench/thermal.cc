@@ -15,8 +15,8 @@
 //      must engage (throttled_windows > 0) and the run must not finish
 //      faster than its unthrottled twin.
 //
-// Results land in SECDDR_THERMAL_JSON (default BENCH_thermal.json) in
-// the same machine-checkable shape as BENCH_speed.json.
+// Results land in SECDDR_THERMAL_JSON (default BENCH_thermal.json) as
+// one machine-checkable JSON object.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +34,8 @@ using secmem::SecurityParams;
 
 namespace {
 
-/// Minimal JSON assembly (same idiom as bench/speed.cc).
+/// Minimal JSON assembly: every value this bench emits is a number, a
+/// bool, or a C-identifier-ish name, so string building suffices.
 struct JsonObject {
   std::string body;
   void field(const char* key, double v) { add(key, TablePrinter::num(v, 6)); }

@@ -22,8 +22,10 @@ run_matrix Debug build-ci-debug
 run_matrix Release build-ci-release
 
 # The slow-vs-fast simulation-loop determinism check must hold in both
-# build types. It already ran as part of the full suites above; re-run it
-# explicitly so a future CTEST_ARGS filter can never silently skip it.
+# build types, over the whole fig6 sweep too
+# (SimFastPathDeterminism.Fig6SweepBitIdenticalAcrossLoops). It already
+# ran as part of the full suites above; re-run it explicitly so a future
+# CTEST_ARGS filter can never silently skip it.
 for bdir in build-ci-debug build-ci-release; do
   ctest --test-dir "$bdir" -L determinism --no-tests=error \
         --output-on-failure -j "$jobs"
@@ -34,13 +36,6 @@ done
 # variant that does not pin its own channel count), Release build.
 SECDDR_CHANNELS=2 ctest --test-dir build-ci-release -L determinism \
       --no-tests=error --output-on-failure -j "$jobs"
-
-# Epoch-decoupled bench smoke: a bounded Release run of bench/speed,
-# which hard-fails if the event-driven loop is not bit-identical to the
-# per-cycle reference, or if the channel-scaling or scan-cost gates
-# regress.
-SECDDR_INSTR=4000 SECDDR_WARMUP=2000 SECDDR_FILTER=b SECDDR_SPEED_JSON='' \
-      ./build-ci-release/speed
 
 # Trace-subsystem battery: the trace label (codec round-trip/property
 # tests, the corruption battery, text-parser regressions, source

@@ -110,8 +110,9 @@ struct ControllerStats {
 /// Scheduler scan-cost accounting, kept out of ControllerStats on purpose:
 /// the per-cycle and event-driven loops run different numbers of scans, so
 /// these counters are loop-mode-dependent and must never enter RunResult
-/// (which the determinism tests compare bit-for-bit). `bench/speed` reads
-/// them to show entries visited per issued command.
+/// (which the determinism tests compare bit-for-bit). perfbench reports
+/// entries visited per issued command from them (`dram.entries_per_cmd`),
+/// and `Controller.PerBankScanCostWithinGlobalDequeProxy` bounds it.
 struct ScanStats {
   std::uint64_t issue_scans = 0;      ///< try_issue_* invocations
   std::uint64_t entries_visited = 0;  ///< bank/entry records examined

@@ -15,7 +15,6 @@
 //                             or hardware concurrency)
 //   SECDDR_FUZZ_PROFILES      substring filter on profile names
 //   SECDDR_FUZZ_SIM           1 = timing leg on         (default 0)
-//   SECDDR_FUZZ_EVENT_DRIVEN  timing-leg loop mode      (default 1)
 //   SECDDR_FUZZ_SAVE_DIR      write escapes + their minimized forms here
 #pragma once
 

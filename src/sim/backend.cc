@@ -99,30 +99,6 @@ Cycle MemoryBackend::ready_window(Cycle now) const {
   return bound;
 }
 
-Cycle MemoryBackend::next_event_cycle(Cycle now) const {
-  Cycle next = kNoEvent;
-  for (const Channel& ch : channels_)
-    next = std::min(next, ch.engine->next_event_cycle(now));
-  return next;
-}
-
-bool MemoryBackend::has_undrained_completions() const {
-  for (const Channel& ch : channels_)
-    if (ch.dram->has_undrained_completions()) return true;
-  return false;
-}
-
-Cycle MemoryBackend::idle_core_cycles() const {
-  Cycle idle = kNoEvent;
-  for (const Channel& ch : channels_)
-    idle = std::min(idle, ch.dram->idle_core_cycles());
-  return idle;
-}
-
-void MemoryBackend::advance_idle(Cycle cycles) {
-  for (Channel& ch : channels_) ch.dram->advance_idle_core_cycles(cycles);
-}
-
 std::size_t MemoryBackend::outstanding() const {
   std::size_t n = ready_.size();
   for (const Channel& ch : channels_) n += ch.engine->outstanding();

@@ -96,19 +96,6 @@ class MemoryBackend {
   /// Ready reads since the last drain, across all channels (caller clears).
   std::vector<secmem::ReadReady>& ready() { return ready_; }
 
-  /// Engine-event query for the event-driven loop: min over channels (a
-  /// deferred issue retry on any channel means the next tick can act).
-  Cycle next_event_cycle(Cycle now) const;
-  /// True while any channel holds a completion that must surface on the
-  /// very next tick (skipping would stamp it late).
-  bool has_undrained_completions() const;
-  /// Upcoming core cycles every channel's DRAM guarantees are no-ops
-  /// (min over channels); kNoEvent when all are fully idle.
-  Cycle idle_core_cycles() const;
-  /// Fast-forwards `cycles` ticks previously reported idle: advances every
-  /// channel's clock domains without running no-op ticks.
-  void advance_idle(Cycle cycles);
-
   /// True when no channel holds outstanding work of any kind — the drain
   /// condition for tests and harness drain loops.
   bool drain_ready() const { return outstanding() == 0; }

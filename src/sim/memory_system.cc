@@ -263,26 +263,6 @@ bool MemorySystem::issue_blocked_for(unsigned core_id, Addr addr) const {
   return memo.blocked;
 }
 
-Cycle MemorySystem::idle_cycles() const {
-  // An engine (on any channel) retries deferred DRAM issues on every tick.
-  if (backend_.next_event_cycle(now_) != kNoEvent) return 0;
-  // A completion produced after this cycle's DRAM tick (write forwarding
-  // or merging during an engine-issued enqueue) must surface on the very
-  // next tick so its finish stamp matches the per-cycle loop.
-  if (backend_.has_undrained_completions()) return 0;
-  Cycle skip = kNoEvent;
-  // A completion flag scheduled for cycle `at` is raised by the tick that
-  // advances now_ to `at`; that tick must run (at > now_ is an invariant:
-  // matured entries are drained before this query can be called).
-  if (!done_q_.empty()) skip = done_q_.top().at - now_ - 1;
-  return std::min(skip, backend_.idle_core_cycles());
-}
-
-void MemorySystem::advance_idle(Cycle cycles) {
-  now_ += cycles;
-  backend_.advance_idle(cycles);
-}
-
 template <class Ar, class FlagCodec>
 void MemorySystem::fields(Ar& ar, const FlagCodec& flag) {
   for (SetAssocCache& l1 : l1s_) ar.nested(l1);

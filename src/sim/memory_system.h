@@ -67,24 +67,13 @@ class MemorySystem final : public MemoryPort {
   /// Advances one core cycle (drives every channel's DRAM clock too).
   void tick();
 
-  /// Number of upcoming cycles guaranteed to be no-op ticks: no pending
-  /// load completion matures, no channel's security engine has deferred
-  /// issues to retry, and no channel's DRAM controller has an event.
-  /// kNoEvent when fully idle (cores then bound the skip).
-  Cycle idle_cycles() const;
-
-  /// Fast-forwards `cycles` ticks previously reported idle by
-  /// idle_cycles(): advances this clock and the DRAM clock domains.
-  void advance_idle(Cycle cycles);
-
   // --- epoch-decoupled execution --------------------------------------
   /// Largest number of ticks advance_window() may batch into one epoch:
   /// no channel can surface a finished read and no pending completion
   /// flag matures strictly before the window's final tick, so executing
   /// the whole window channel-locally and draining at the boundary is
-  /// bit-identical to per-cycle ticking. Always >= 1 when finite
-  /// (unlike idle_cycles(), which reports ticks that need not run at
-  /// all); kNoEvent when nothing is outstanding anywhere.
+  /// bit-identical to per-cycle ticking. Always >= 1 when finite;
+  /// kNoEvent when nothing is outstanding anywhere.
   Cycle window_bound() const;
 
   /// Runs the next `ticks` cycles as one backend epoch (`ticks` must not

@@ -28,10 +28,11 @@ struct SystemConfig {
   secmem::SecurityParams security = secmem::SecurityParams::baseline_tree_ctr();
   /// Size of the data region; metadata is laid out above it.
   std::uint64_t data_bytes = 8ull << 30;
-  /// Advance the simulation loop directly to the next component event
+  /// Run the epoch-decoupled loop (batched windows no core can act in)
   /// instead of ticking every core cycle. Produces bit-identical
-  /// RunResults (asserted by the SimFastPathDeterminism tests); turn off
-  /// to cross-check or to profile the per-cycle loop (bench/speed.cc).
+  /// RunResults (asserted by the SimFastPathDeterminism tests, over the
+  /// whole fig6 sweep in Fig6SweepBitIdenticalAcrossLoops); turn off to
+  /// cross-check against the per-cycle reference loop.
   bool event_driven = true;
   /// Always 1: the memory backend ticks its channels serially on the
   /// calling thread. Any other value makes System::System throw

@@ -1,5 +1,6 @@
 // DRAM substrate: timing presets, address mapping, bank state machine,
-// and controller scheduling properties under randomized request streams.
+// controller scheduling properties under randomized request streams, and
+// the issue scan's cost on full-system runs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "../bench/harness.h"
 #include "common/random.h"
 #include "dram/address.h"
 #include "dram/bank.h"
@@ -516,6 +518,47 @@ TEST(Controller, PerBankQueuesMatchPr3GoldenStreams) {
     EXPECT_EQ(h, cfg.golden) << "per-bank queues diverged from the PR 3 "
                                 "global-deque controller on this stream";
     EXPECT_EQ(ctrl.pending(), 0u) << "stream failed to drain";
+  }
+}
+
+// The per-bank queues let the FR-FCFS issue scans visit bank and index
+// records instead of walking a direction's whole queue. queue_depth_sum
+// adds up the queue depth at each scan, which is exactly what a walk of
+// one global deque would visit, so per issued command (summed over
+// channels) the per-bank scans must visit no more than that proxy. The
+// comparison only means something on deep queues: per-bank also counts
+// index and FIFO-head records, which dominate when a queue holds a couple
+// of entries. So the proxy must first reach 8 entries per command.
+TEST(Controller, PerBankScanCostWithinGlobalDequeProxy) {
+  for (const unsigned channels : {1u, 2u}) {
+    for (const char* name : {"mcf", "lbm", "omnetpp"}) {
+      SCOPED_TRACE(std::string(name) + ", " + std::to_string(channels) +
+                   " channels");
+      const auto* wl = workloads::find(name);
+      ASSERT_NE(wl, nullptr);
+      bench::BenchOptions opt;
+      opt.instructions = 2000;
+      opt.warmup = 500;
+      opt.cores = 2;
+      opt.channels = channels;
+      const auto traces = bench::make_trace_sources(*wl, opt.cores);
+      std::vector<sim::TraceSource*> ptrs;
+      for (const auto& t : traces) ptrs.push_back(t.get());
+      sim::System sys(
+          bench::make_system_config(opt, secmem::SecurityParams::secddr_ctr(),
+                                    Timings::ddr4_3200()),
+          ptrs);
+      sys.run(opt.instructions, 4'000'000'000ull, opt.warmup);
+      ScanStats ss;
+      for (unsigned c = 0; c < sys.backend().channels(); ++c)
+        ss += sys.backend().dram(c).scan_stats();
+      ASSERT_GT(ss.commands_issued, 0u);
+      const double cmds = static_cast<double>(ss.commands_issued);
+      const double per_bank = static_cast<double>(ss.entries_visited) / cmds;
+      const double proxy = static_cast<double>(ss.queue_depth_sum) / cmds;
+      ASSERT_GE(proxy, 8.0) << "queues too shallow for the bound to bite";
+      EXPECT_LE(per_bank, proxy);
+    }
   }
 }
 

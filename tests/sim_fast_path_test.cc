@@ -12,13 +12,21 @@
 // SECDDR_CHANNELS overrides the channel count of every variant that does
 // not pin one itself (ci.sh runs the determinism label with
 // SECDDR_CHANNELS=2 as a dedicated step).
+//
+// Fig6SweepBitIdenticalAcrossLoops covers the whole fig6 sweep, built by
+// the bench harness as fig6_performance builds it, and compares the
+// encoded RunResult bytes of the two loops point by point.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "../bench/sweep.h"
+#include "fleet/checkpoint.h"
 #include "secmem/params.h"
 #include "sim/system.h"
 #include "workloads/generator.h"
@@ -295,6 +303,49 @@ TEST(SimFastPathDeterminism, HitCycleLimitAggregatesAcrossPhases) {
                                  "— warmup aggregation is untested";
   EXPECT_TRUE(r.hit_cycle_limit) << "warmup hit the limit but was not "
                                     "reported";
+}
+
+TEST(SimFastPathDeterminism, Fig6SweepBitIdenticalAcrossLoops) {
+  // Every suite workload x the five fig6 configurations, at 1 and 2
+  // channels: the event-driven loop's encoded RunResult (every stat,
+  // per-channel breakdowns and power reports included) must equal the
+  // per-cycle loop's byte for byte.
+  const std::vector<secmem::SecurityParams> configs = {
+      secmem::SecurityParams::baseline_tree_ctr(),
+      secmem::SecurityParams::secddr_ctr(),
+      secmem::SecurityParams::encrypt_only_ctr(),
+      secmem::SecurityParams::secddr_xts(),
+      secmem::SecurityParams::encrypt_only_xts(),
+  };
+  for (const unsigned channels : {1u, 2u}) {
+    bench::BenchOptions opt;
+    opt.instructions = 2000;
+    opt.warmup = 500;
+    opt.cores = 2;
+    opt.channels = channels;
+    const auto points = bench::cross_sweep(workloads::suite(), configs, opt);
+    ASSERT_EQ(points.size(), workloads::suite().size() * configs.size());
+    const auto encoded = bench::sweep_map(points.size(), [&](std::size_t i) {
+      std::array<std::vector<std::uint8_t>, 2> out;  // [per-cycle, event]
+      for (const bool event_driven : {false, true}) {
+        const auto traces =
+            bench::make_trace_sources(points[i].workload, opt.cores);
+        std::vector<TraceSource*> ptrs;
+        for (const auto& t : traces) ptrs.push_back(t.get());
+        SystemConfig cfg = bench::make_system_config(
+            opt, points[i].security, points[i].timings);
+        cfg.event_driven = event_driven;
+        System sys(cfg, ptrs);
+        out[event_driven] = fleet::checkpoint::encode_result(
+            sys.run(opt.instructions, 4'000'000'000ull, opt.warmup));
+      }
+      return out;
+    });
+    for (std::size_t i = 0; i < points.size(); ++i)
+      EXPECT_EQ(encoded[i][0], encoded[i][1])
+          << points[i].workload.name << " / " << points[i].security.name
+          << " / " << channels << "ch";
+  }
 }
 
 // Golden pre-backend results: the multi-channel MemoryBackend refactor

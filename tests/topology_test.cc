@@ -1,5 +1,6 @@
 // Multi-channel memory topology: the ChannelSelector address round-trip,
-// per-channel metadata layout isolation, and MemoryBackend routing.
+// per-channel metadata layout isolation, MemoryBackend routing, and
+// total-IPC scaling with the channel count.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -7,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "../bench/harness.h"
 #include "common/random.h"
 #include "dram/address.h"
 #include "secmem/layout.h"
@@ -225,6 +227,36 @@ TEST(MemoryBackend, DrainReadyWaitsForEveryChannel) {
   EXPECT_TRUE(backend.drain_ready());
   EXPECT_EQ(backend.dram_stats_per_channel()[0].reads_enqueued, 0u);
   EXPECT_EQ(backend.dram_stats_per_channel()[1].reads_enqueued, 1u);
+}
+
+// Each channel adds its own command/data bus and security engine, so the
+// most memory-bound suite workload (mcf, SecDDR+CTR) must not lose total
+// IPC when the backend shards the same capacity across 2 or 4 channels.
+// Every multi-channel point must hold the 1-channel IPC, not just the
+// widest one.
+TEST(MemoryBackend, McfIpcHoldsOneChannelIpcAtTwoAndFourChannels) {
+  const auto* mcf = workloads::find("mcf");
+  ASSERT_NE(mcf, nullptr);
+  for (const unsigned cores : {2u, 4u}) {
+    double ipc_1ch = 0.0;
+    for (const unsigned channels : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::to_string(cores) + " cores, " +
+                   std::to_string(channels) + " channels");
+      bench::BenchOptions opt;
+      opt.instructions = 2000;
+      opt.warmup = 500;
+      opt.cores = cores;
+      opt.channels = channels;
+      const double ipc =
+          bench::run_ipc(*mcf, secmem::SecurityParams::secddr_ctr(), opt);
+      if (channels == 1) {
+        ASSERT_GT(ipc, 0.0);
+        ipc_1ch = ipc;
+      } else {
+        EXPECT_GE(ipc, ipc_1ch);
+      }
+    }
+  }
 }
 
 }  // namespace
